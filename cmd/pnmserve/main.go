@@ -1,6 +1,6 @@
 // Command pnmserve is the networked sink: it listens for framed marked
 // reports on real TCP (and optionally UDP) sockets, verifies them
-// through the sink pipeline, and prints the traceback verdict — the
+// through the sink engine, and prints the traceback verdict — the
 // in-process simulator's sink turned into a service.
 //
 // Usage:
@@ -12,17 +12,18 @@
 // traffic for; the final verdict line is byte-identical to the one the
 // same scenario produces in-process (pnmload -expect prints it).
 //
-// -chaos derives the sink-crash events of a PR 5 fault plan and fires
-// them against the live server: the tracker checkpoints (PNM2), goes
-// down — arrivals are dropped and counted — and restores mid-stream.
-// -queue selects the ingest overflow policy (block, drop-newest,
-// drop-oldest); -workers sizes the verification pipeline; -shards runs
-// the sink as a cluster of independently checkpointed shards instead
-// (verdicts are byte-identical at any shard count, and -chaos then
-// crashes and restores a single shard rather than the whole sink).
-// -stats dumps
-// the obs registry (transport.*, sink.*) to stderr at exit; -debug ADDR
-// additionally serves pprof and expvar.
+// -chaos derives the sink-crash events of a fault plan and fires them
+// against the live server: the sink engine checkpoints every shard
+// (PNM2), goes down — arrivals are dropped and counted — and restores
+// mid-stream. -queue selects the ingest overflow policy (block,
+// drop-newest, drop-oldest). -workers and -shards shape the one sink
+// engine (sink.Cluster): -workers verifies each batch across that many
+// workers and folds into one shard; -shards splits the sink into that
+// many independently checkpointed shards instead and supersedes
+// -workers. Verdicts are byte-identical at any shape; with several
+// shards, -chaos crashes and restores a single shard rather than the
+// whole sink. -stats dumps the obs registry (transport.*, sink.*) to
+// stderr at exit; -debug ADDR additionally serves pprof and expvar.
 package main
 
 import (
@@ -115,8 +116,8 @@ func run(args []string, w io.Writer) (err error) {
 		radioRange = fs.Float64("range", 1.3, "scenario: radio range")
 		seed       = fs.Int64("seed", 1, "scenario: RNG seed")
 		packets    = fs.Int("packets", 400, "exit after this many ingested reports (0 = until killed)")
-		workers    = fs.Int("workers", 1, "sink verification pipeline workers (<=1 serial)")
-		shards     = fs.Int("shards", 1, "sink cluster shards (<=1 unsharded; supersedes -workers)")
+		workers    = fs.Int("workers", 1, "sink engine verification workers (<=1 serial)")
+		shards     = fs.Int("shards", 1, "sink engine shards (<=1 unsharded; supersedes -workers)")
 		queueFlag  = fs.String("queue", "block", "ingest overflow policy: block, drop-newest, drop-oldest")
 		depth      = fs.Int("queue-depth", 256, "ingest queue depth")
 		maxFrame   = fs.Int("max-frame", transport.DefaultMaxFrameBytes, "max frame payload bytes accepted from a peer")

@@ -137,7 +137,7 @@ func ScaleBench(cfg ScaleBenchConfig) (*ScaleBenchResult, error) {
 	for _, w := range cfg.Workers {
 		w := w
 		row, err := runScaleRow(cfg, gen, "pipeline", w, 1, func(reg *obs.Registry) scaleSink {
-			return newScalePipeline(gen, topo, keys, reg, w)
+			return newScaleCluster(gen, topo, keys, reg, 1, w)
 		})
 		if err != nil {
 			return nil, err
@@ -150,7 +150,7 @@ func ScaleBench(cfg ScaleBenchConfig) (*ScaleBenchResult, error) {
 	for _, shards := range cfg.Shards {
 		shards := shards
 		row, err := runScaleRow(cfg, gen, "cluster", 1, shards, func(reg *obs.Registry) scaleSink {
-			return newScaleCluster(gen, topo, keys, reg, shards)
+			return newScaleCluster(gen, topo, keys, reg, shards, 1)
 		})
 		if err != nil {
 			return nil, err
@@ -204,25 +204,14 @@ func newScaleSerial(gen *keyedGen, topo *topology.Network, keys *mac.KeyStore, r
 	}
 }
 
-func newScalePipeline(gen *keyedGen, topo *topology.Network, keys *mac.KeyStore, reg *obs.Registry, workers int) scaleSink {
-	factory := shardVerifierFactory(gen.scheme, keys, topo, reg)
-	tracker := sink.NewTracker(factory(), topo)
-	tracker.Instrument(reg)
-	pipe := sink.NewPipeline(workers, factory, tracker)
-	pipe.Instrument(reg)
-	return scaleSink{
-		observe: pipe.Observe,
-		packets: tracker.Packets,
-		verdict: tracker.Verdict,
-		close:   func() { pipe.Close() },
-	}
-}
-
-func newScaleCluster(gen *keyedGen, topo *topology.Network, keys *mac.KeyStore, reg *obs.Registry, shards int) scaleSink {
-	cluster := sink.NewCluster(shards, shardVerifierFactory(gen.scheme, keys, topo, reg), topo, reg)
+// newScaleCluster builds the sink engine at one shape: the "pipeline"
+// rows are one shard over workers verifiers, the "cluster" rows shards
+// shards.
+func newScaleCluster(gen *keyedGen, topo *topology.Network, keys *mac.KeyStore, reg *obs.Registry, shards, workers int) scaleSink {
+	cluster := sink.NewCluster(shards, workers, shardVerifierFactory(gen.scheme, keys, topo), topo, reg)
 	return scaleSink{
 		observe: func(batch []packet.Message) []sink.Result {
-			results, dropped := cluster.Observe(batch)
+			results, dropped := cluster.Observe(batch, nil)
 			if dropped > 0 {
 				panic(fmt.Sprintf("experiment: cluster dropped %d packets with no shard down", dropped))
 			}

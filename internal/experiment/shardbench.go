@@ -234,17 +234,14 @@ func (g *keyedGen) batch(buf []packet.Message) {
 
 // shardVerifierFactory builds the per-shard verifier: topology resolver
 // (the exhaustive resolver's O(n)-per-report table build is infeasible at
-// 1M distinct reports), instrumented into the shared registry. Safe to
-// call from the cluster's worker goroutines: the registry is concurrent
-// and each verifier is factory-owned.
-func shardVerifierFactory(scheme marking.Scheme, keys *mac.KeyStore, topo *topology.Network, reg *obs.Registry) func() sink.Verifier {
+// 1M distinct reports). Safe to call from the cluster's worker
+// goroutines, which bind each verifier into the shared registry: each
+// verifier is factory-owned.
+func shardVerifierFactory(scheme marking.Scheme, keys *mac.KeyStore, topo *topology.Network) func() sink.Verifier {
 	return func() sink.Verifier {
 		v, err := sink.NewVerifier(scheme, keys, topo.NumNodes(), sink.NewTopologyResolver(keys, topo))
 		if err != nil {
 			panic(err)
-		}
-		if ins, ok := v.(sink.Instrumentable); ok {
-			ins.Instrument(reg)
 		}
 		return v
 	}
@@ -325,10 +322,10 @@ func runShardSweepPoint(cfg ShardBenchConfig, gen *keyedGen, topo *topology.Netw
 
 	for _, shards := range cfg.Shards {
 		reg := obs.New()
-		cluster := sink.NewCluster(shards, shardVerifierFactory(gen.scheme, keys, topo, reg), topo, reg)
+		cluster := sink.NewCluster(shards, 1, shardVerifierFactory(gen.scheme, keys, topo), topo, reg)
 		digest := sha256.New()
 		spent := feed(func(batch []packet.Message) []sink.Result {
-			results, dropped := cluster.Observe(batch)
+			results, dropped := cluster.Observe(batch, nil)
 			if dropped > 0 {
 				panic(fmt.Sprintf("experiment: cluster dropped %d packets with no shard down", dropped))
 			}
@@ -369,7 +366,7 @@ func runShardScenario(cfg ShardBenchConfig, gen *keyedGen, topo *topology.Networ
 		return nil, fmt.Errorf("experiment: bad shard scenario config %+v", sc)
 	}
 	reg := obs.New()
-	cluster := sink.NewCluster(sc.Shards, shardVerifierFactory(gen.scheme, keys, topo, reg), topo, reg)
+	cluster := sink.NewCluster(sc.Shards, 1, shardVerifierFactory(gen.scheme, keys, topo), topo, reg)
 	defer cluster.Close()
 
 	buf := make([]packet.Message, cfg.BatchLen)
@@ -380,7 +377,7 @@ func runShardScenario(cfg ShardBenchConfig, gen *keyedGen, topo *topology.Networ
 			n := min(cfg.BatchLen, limit-gen.next)
 			batch := buf[:n]
 			gen.batch(batch)
-			_, d := cluster.Observe(batch)
+			_, d := cluster.Observe(batch, nil)
 			dropped += d
 		}
 	}
@@ -390,8 +387,7 @@ func runShardScenario(cfg ShardBenchConfig, gen *keyedGen, topo *topology.Networ
 	if dropped != 0 {
 		return nil, fmt.Errorf("experiment: scenario dropped %d packets before the crash", dropped)
 	}
-	blob, err := cluster.CrashShard(sc.Victim)
-	if err != nil {
+	if err := cluster.CrashShard(sc.Victim); err != nil {
 		return nil, err
 	}
 
@@ -406,7 +402,7 @@ func runShardScenario(cfg ShardBenchConfig, gen *keyedGen, topo *topology.Networ
 	verdictDown := verdictDigest(cluster.Verdict())
 
 	// Restore must be a lossless round trip of the at-crash evidence.
-	if err := cluster.RestoreShard(sc.Victim, blob); err != nil {
+	if err := cluster.RestoreShard(sc.Victim); err != nil {
 		return nil, err
 	}
 	if got := cluster.Packets(); got != packetsDown {

@@ -250,7 +250,7 @@ type observeFn func(stream []packet.Message, out []sink.Result) []sink.Result
 // stream and assembles the row. The cold pass's results and verdict feed
 // the row's hash; the warm pass re-derives the per-packet results (they
 // are pure) and must hash identically.
-func runSinkBenchPasses(mode string, workers int, stream []packet.Message, reg *obs.Registry, tracker *sink.Tracker, observe observeFn) (SinkBenchRow, error) {
+func runSinkBenchPasses(mode string, workers int, stream []packet.Message, reg *obs.Registry, verdict func() sink.Verdict, observe observeFn) (SinkBenchRow, error) {
 	results := make([]sink.Result, 0, len(stream))
 
 	//pnmlint:allow wallclock macro-benchmark reports real verification latency
@@ -259,7 +259,7 @@ func runSinkBenchPasses(mode string, workers int, stream []packet.Message, reg *
 	//pnmlint:allow wallclock macro-benchmark reports real verification latency
 	cold := time.Since(start)
 	coldResults := resultHash(results, sink.Verdict{})
-	hash := resultHash(results, tracker.Verdict())
+	hash := resultHash(results, verdict())
 
 	results = results[:0]
 	//pnmlint:allow wallclock macro-benchmark reports real verification latency
@@ -307,11 +307,12 @@ func runSinkBenchSerial(scheme marking.Scheme, keys *mac.KeyStore, topo *topolog
 		}
 		return out
 	}
-	return runSinkBenchPasses("serial", 1, stream, reg, tracker, observe)
+	return runSinkBenchPasses("serial", 1, stream, reg, tracker.Verdict, observe)
 }
 
-// runSinkBenchPipeline measures the pipeline at one worker count, batched
-// the way the netsim sink loop batches.
+// runSinkBenchPipeline measures the sink engine's pipelined round — one
+// shard verified across workers — batched the way the netsim sink loop
+// batches.
 func runSinkBenchPipeline(scheme marking.Scheme, keys *mac.KeyStore, topo *topology.Network, stream []packet.Message, workers, batchLen int) (SinkBenchRow, error) {
 	reg := obs.New()
 	factory := func() sink.Verifier {
@@ -320,30 +321,21 @@ func runSinkBenchPipeline(scheme marking.Scheme, keys *mac.KeyStore, topo *topol
 		if err != nil {
 			panic(err)
 		}
-		if ins, ok := v.(sink.Instrumentable); ok {
-			ins.Instrument(reg)
-		}
 		return v
 	}
-	serialV, err := sink.NewVerifier(scheme, keys, topo.NumNodes(),
-		sink.NewExhaustiveResolverCache(keys, topo.Nodes(), 1))
-	if err != nil {
-		return SinkBenchRow{}, err
-	}
-	tracker := sink.NewTracker(serialV, topo)
-	pipe := sink.NewPipeline(workers, factory, tracker)
-	defer pipe.Close()
-	pipe.Instrument(reg)
+	cluster := sink.NewCluster(1, workers, factory, topo, reg)
+	defer cluster.Close()
 	observe := func(stream []packet.Message, out []sink.Result) []sink.Result {
 		for lo := 0; lo < len(stream); lo += batchLen {
 			hi := min(lo+batchLen, len(stream))
-			for _, res := range pipe.Observe(stream[lo:hi]) {
+			results, _ := cluster.Observe(stream[lo:hi], nil)
+			for _, res := range results {
 				out = append(out, sink.Result{Stopped: res.Stopped, Chain: append([]packet.NodeID(nil), res.Chain...)})
 			}
 		}
 		return out
 	}
-	return runSinkBenchPasses("pipeline", pipe.Workers(), stream, reg, tracker, observe)
+	return runSinkBenchPasses("pipeline", workers, stream, reg, cluster.Verdict, observe)
 }
 
 // RenderSinkBench serializes the result as the committed JSON document.

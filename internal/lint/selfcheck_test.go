@@ -110,12 +110,7 @@ func TestServerGuardedFieldsPresent(t *testing.T) {
 		byName[g.owner+"."+v.Name()] = g.mutex
 	}
 	for field, mutex := range map[string]string{
-		"Server.tracker":     "mu",
-		"Server.pipe":        "mu",
-		"Server.cluster":     "mu",
-		"Server.shardCkpts":  "mu",
-		"Server.down":        "mu",
-		"Server.ckpt":        "mu",
+		"Server.engine":      "mu",
 		"Server.delivered":   "mu",
 		"Server.deliveredCh": "mu",
 		"Server.foldMsgs":    "mu",
@@ -127,9 +122,9 @@ func TestServerGuardedFieldsPresent(t *testing.T) {
 	}
 }
 
-// TestNetworkGuardedFieldsPresent pins the live simulator's sharded-sink
-// lock discipline: the cluster and its per-shard crash blobs travel
-// together under mu.
+// TestNetworkGuardedFieldsPresent pins the live simulator's sink lock
+// discipline: the sink engine — which keeps its own crash blobs — is
+// only touched under mu.
 func TestNetworkGuardedFieldsPresent(t *testing.T) {
 	prog, err := Load("../..", "./internal/netsim")
 	if err != nil {
@@ -144,8 +139,7 @@ func TestNetworkGuardedFieldsPresent(t *testing.T) {
 		byName[g.owner+"."+v.Name()] = g.mutex
 	}
 	for field, mutex := range map[string]string{
-		"Network.cluster":    "mu",
-		"Network.shardCkpts": "mu",
+		"Network.engine": "mu",
 	} {
 		if got := byName[field]; got != mutex {
 			t.Errorf("%s: guarded-by %q, want %q (annotation missing or moved)", field, got, mutex)

@@ -3,11 +3,12 @@ package netsim
 // Fault injection and crash recovery for the live simulator.
 //
 // A fault plan is a deterministic, seeded schedule of failures: node
-// crashes and restarts, link churn, and sink crashes with restore from a
-// PNM2 tracker checkpoint. Events fire at *progress milestones* — counts
-// of settled packets (delivered plus accounted drops) — not at wall-clock
-// instants, so the same plan against the same traffic produces the same
-// network history regardless of scheduling jitter or machine speed.
+// crashes and restarts, link churn, and sink or shard crashes with
+// restore from the sink engine's PNM2 checkpoints. Events fire at
+// *progress milestones* — counts of settled packets (delivered plus
+// accounted drops) — not at wall-clock instants, so the same plan against
+// the same traffic produces the same network history regardless of
+// scheduling jitter or machine speed.
 //
 // Two ways to drive a plan:
 //
@@ -23,9 +24,9 @@ package netsim
 // recomputed so the dead node's subtree re-homes around it (or orphans,
 // if no alternate path exists). Restart rebuilds the stack from zero —
 // a rebooted mote's RAM — and respawns the goroutine with an
-// incarnation-salted RNG. Sink crash checkpoints the tracker first;
-// restore rebuilds the sink chain from that checkpoint, so neither the
-// order matrix nor the packet count is lost.
+// incarnation-salted RNG. Sink crash has the sink engine checkpoint every
+// shard first; restore rebuilds each shard from its own checkpoint, so
+// neither the order matrix nor the packet count is lost.
 
 import (
 	"fmt"
@@ -35,7 +36,6 @@ import (
 
 	"pnm/internal/obs"
 	"pnm/internal/packet"
-	"pnm/internal/sink"
 	"pnm/internal/topology"
 )
 
@@ -54,16 +54,15 @@ const (
 	FaultLinkDown
 	// FaultLinkUp restores every link previously cut for the node.
 	FaultLinkUp
-	// FaultSinkCrash kills the sink after checkpointing the tracker
-	// (PNM2); arrivals while it is down are dropped. With SinkShards > 1
-	// the checkpoint is the cluster's per-shard blob set.
+	// FaultSinkCrash kills the sink after the engine checkpoints every
+	// shard (PNM2); arrivals while it is down are dropped.
 	FaultSinkCrash
-	// FaultSinkRestore rebuilds the sink chain from the crash checkpoint.
+	// FaultSinkRestore rebuilds every shard from its crash checkpoint.
 	FaultSinkRestore
-	// FaultShardCrash checkpoints one cluster shard (PNM2) and takes only
-	// it down: the sink stays up, the other shards keep folding, and the
-	// down shard's partition of arriving packets terminates as accounted
-	// drops. Requires SinkShards > 1; a no-op otherwise.
+	// FaultShardCrash checkpoints one sink shard (PNM2) and takes only it
+	// down: the sink stays up, the other shards keep folding, and the down
+	// shard's partition of arriving packets terminates as accounted drops.
+	// With one shard, shard 0 is the whole partition.
 	FaultShardCrash
 	// FaultShardRestore rebuilds the crashed shard from its own blob.
 	FaultShardRestore
@@ -144,8 +143,7 @@ type FaultPlanConfig struct {
 	// SinkCrashes schedules this many sink crash→restore pairs.
 	SinkCrashes int
 	// ShardCrashes schedules this many single-shard crash→restore pairs,
-	// rotating through Shards sink shards. Only meaningful when the sink
-	// runs as a cluster (SinkShards > 1).
+	// rotating through Shards sink shards.
 	ShardCrashes int
 	// Shards is the cluster width ShardCrashes rotates over; defaults to
 	// 1 (every pair hits shard 0).
@@ -408,8 +406,10 @@ func normLink(a, b packet.NodeID) [2]packet.NodeID {
 	return [2]packet.NodeID{a, b}
 }
 
-// crashSinkLocked kills the sink after checkpointing the tracker; queued
-// and in-flight deliveries die. Callers hold faultMu.
+// crashSinkLocked kills the sink goroutine and has the engine checkpoint
+// and drop every shard; queued and in-flight deliveries die. Verdicts stay
+// readable, and stale, from the checkpoints while the sink is down.
+// Callers hold faultMu.
 func (n *Network) crashSinkLocked() {
 	n.stateMu.RLock()
 	down := n.sinkDown
@@ -420,17 +420,7 @@ func (n *Network) crashSinkLocked() {
 	close(n.sinkKill)
 	<-n.sinkDone
 	n.mu.Lock()
-	if n.cluster != nil {
-		// Every shard checkpoints to its own PNM2 blob; a sealed tracker
-		// keeps verdicts readable (stale, like the serial sink's) while
-		// the cluster is down.
-		n.shardCkpts = n.cluster.Checkpoint()
-		n.tracker = n.cluster.Seal()
-		n.cluster.Close()
-		n.cluster = nil
-	} else {
-		n.sinkCkpt = n.tracker.Checkpoint()
-	}
+	_ = n.engine.Crash() // shards an earlier fault crashed stay down
 	n.mu.Unlock()
 	// Mark it down before draining so new arrivals drop at the sender.
 	n.stateMu.Lock()
@@ -447,10 +437,10 @@ func (n *Network) crashSinkLocked() {
 	}
 }
 
-// restoreSinkLocked rebuilds the sink chain — tracker from the PNM2 crash
-// checkpoint, fresh verifier(s), fresh pipeline when SinkWorkers > 1 —
-// and respawns the sink goroutine. Neither the order matrix nor the
-// packet count is lost across the crash. Callers hold faultMu.
+// restoreSinkLocked has the engine rebuild every crashed shard from its
+// own checkpoint, with fresh verifier chains, and respawns the sink
+// goroutine. Neither the order matrix nor the packet count is lost across
+// the crash. Callers hold faultMu.
 func (n *Network) restoreSinkLocked() {
 	n.stateMu.RLock()
 	down := n.sinkDown
@@ -458,42 +448,9 @@ func (n *Network) restoreSinkLocked() {
 	if !down {
 		return
 	}
-	if n.cfg.SinkShards > 1 {
-		// The sink goroutine is dead here, so holding mu across the
-		// rebuild contends with nothing; it keeps the blob reads and the
-		// cluster swap under the cluster's lock discipline.
-		n.mu.Lock()
-		cl, err := sink.RestoreCluster(n.shardCkpts, n.newVerifier, n.cfg.Topo, n.cfg.Obs)
-		if err != nil {
-			// The blobs are our own bytes; failing to read them back is a
-			// programming error, not a runtime condition.
-			panic(fmt.Sprintf("netsim: sink restore: %v", err))
-		}
-		n.cluster = cl
-		n.tracker = nil
-		n.mu.Unlock()
-	} else {
-		tracker, err := sink.RestoreTracker(n.sinkCkpt, n.newVerifier(), n.cfg.Topo)
-		if err != nil {
-			// The checkpoint is our own bytes; failing to read it back is a
-			// programming error, not a runtime condition.
-			panic(fmt.Sprintf("netsim: sink restore: %v", err))
-		}
-		if n.cfg.Obs != nil {
-			// Counters are registry-backed, so the restored tracker continues
-			// the lifetime sink.tracker.* series rather than rewinding it.
-			tracker.Instrument(n.cfg.Obs)
-		}
-		n.mu.Lock()
-		n.tracker = tracker
-		if n.cfg.SinkWorkers > 1 {
-			n.pipe = sink.NewPipeline(n.cfg.SinkWorkers, n.newVerifier, tracker)
-			if n.cfg.Obs != nil {
-				n.pipe.Instrument(n.cfg.Obs)
-			}
-		}
-		n.mu.Unlock()
-	}
+	n.mu.Lock()
+	_ = n.engine.Restore() // only errs when nothing is down
+	n.mu.Unlock()
 	n.stateMu.Lock()
 	n.sinkDown = false
 	n.stateMu.Unlock()
@@ -501,45 +458,28 @@ func (n *Network) restoreSinkLocked() {
 	n.obsFault.sinkRestores.Inc()
 }
 
-// crashShardLocked checkpoints one cluster shard (PNM2) and takes only it
-// down; arriving packets partitioned to it terminate as accounted drops
-// until restore. A no-op without a live cluster, on an unknown shard
-// index, or on an already-down shard — faults are idempotent. Callers
-// hold faultMu; the cluster ops take mu to serialize with the sink
-// goroutine's folds.
+// crashShardLocked takes one sink shard down; arriving packets
+// partitioned to it terminate as accounted drops until restore. A no-op on
+// an unknown shard index or an already-down shard — faults are
+// idempotent. Callers hold faultMu; the engine ops take mu to serialize
+// with the sink goroutine's folds.
 func (n *Network) crashShardLocked(i int) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.cluster == nil {
-		return
+	if n.engine.CrashShard(i) == nil {
+		n.obsFault.shardCrashes.Inc()
 	}
-	blob, err := n.cluster.CrashShard(i)
-	if err != nil {
-		return
-	}
-	if n.shardCkpts == nil {
-		n.shardCkpts = make([][]byte, n.cfg.SinkShards)
-	}
-	n.shardCkpts[i] = blob
-	n.obsFault.shardCrashes.Inc()
 }
 
-// restoreShardLocked rebuilds a crashed shard from its own blob and
+// restoreShardLocked rebuilds a crashed shard from its own checkpoint and
 // brings it back into the partition; the shard's order matrix and packet
 // count survive the outage. Callers hold faultMu.
 func (n *Network) restoreShardLocked(i int) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.cluster == nil || i < 0 || i >= len(n.shardCkpts) || n.shardCkpts[i] == nil {
-		return
+	if n.engine.RestoreShard(i) == nil {
+		n.obsFault.shardRestores.Inc()
 	}
-	if err := n.cluster.RestoreShard(i, n.shardCkpts[i]); err != nil {
-		// The blob is our own bytes; failing to read it back is a
-		// programming error, not a runtime condition.
-		panic(fmt.Sprintf("netsim: shard restore: %v", err))
-	}
-	n.shardCkpts[i] = nil
-	n.obsFault.shardRestores.Inc()
 }
 
 // recomputeRoutesLocked rebuilds the routing view for the current fault

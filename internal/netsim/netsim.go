@@ -8,10 +8,11 @@
 //
 // A fault layer (fault.go) injects the failures a deployed network lives
 // with: node crash/restart, link churn with BFS route repair, configurable
-// queue-overflow policies, and sink crash/restore from a PNM2 tracker
-// checkpoint. Every packet accepted by Inject terminates exactly once —
-// delivered at the sink or dropped with an accounted reason — which is
-// what WaitSettled and the fault scheduler's progress milestones build on.
+// queue-overflow policies, and sink or shard crash/restore from the sink
+// engine's PNM2 checkpoints. Every packet accepted by Inject terminates
+// exactly once — delivered at the sink or dropped with an accounted
+// reason — which is what WaitSettled and the fault scheduler's progress
+// milestones build on.
 package netsim
 
 import (
@@ -74,17 +75,18 @@ type Config struct {
 	// blocking backpressure (the default) or graceful degradation by
 	// dropping the newest or oldest frame.
 	QueuePolicy QueuePolicy
-	// SinkWorkers > 1 verifies delivered packets through a sink.Pipeline
-	// of that many workers (each with its own verifier chain) instead of
-	// serially; verdicts and delivered counts are byte-identical either
-	// way. <= 1 keeps the serial sink loop.
+	// SinkWorkers > 1 verifies each delivered batch across that many
+	// workers of the sink engine (sink.Cluster), each with its own
+	// verifier chain, and folds the results in arrival order; verdicts
+	// and delivered counts are byte-identical to the serial sink. <= 1
+	// verifies serially.
 	SinkWorkers int
-	// SinkShards > 1 folds delivered packets through a sink.Cluster of
-	// that many shards instead: packets partition by source identity, each
-	// shard owns its own tracker, resolver cache and verifier chain, and
-	// verdicts merge across shards deterministically — byte-identical to
-	// the serial sink. SinkShards supersedes SinkWorkers (the shards are
-	// the parallelism). Checkpoints become per-shard PNM2 blobs, which is
+	// SinkShards > 1 splits the sink engine into that many shards instead:
+	// packets partition by source identity, each shard owns its own
+	// tracker, resolver cache and verifier chain, and verdicts merge
+	// across shards deterministically — byte-identical to the serial
+	// sink. SinkShards supersedes SinkWorkers (the shards are the
+	// parallelism). Each shard checkpoints to its own PNM2 blob, which is
 	// what the FaultShardCrash/FaultShardRestore events operate on.
 	SinkShards int
 	// Faults, when non-nil, hands the plan to a scheduler goroutine that
@@ -115,7 +117,7 @@ type Config struct {
 
 // transmission is one radio frame in flight. epoch is meaningful only on
 // the final sink hop: deliver stamps it with the topology epoch current
-// at arrival, and the sink loops hand it to verification so marks resolve
+// at arrival, and the sink loop hands it to verification so marks resolve
 // against the tree the packet was forwarded under.
 type transmission struct {
 	from  packet.NodeID
@@ -130,11 +132,6 @@ type Network struct {
 	sinkCh chan transmission
 	stop   chan struct{}
 	wg     sync.WaitGroup
-
-	// newVerifier builds one verifier chain (resolver + scheme verifier).
-	// The serial sink, every pipeline worker, and sink restore each build
-	// their own instance through it — verifiers are single-goroutine.
-	newVerifier func() sink.Verifier
 
 	// injectRng draws the loss decision for injected packets' first radio
 	// hop. Node goroutines own private RNGs; injection can come from any
@@ -159,7 +156,7 @@ type Network struct {
 
 	// faultMu serializes fault application (fault.go) and guards the
 	// bookkeeping only faults touch: kill/done channels, incarnation
-	// counts, downed links, and the sink checkpoint.
+	// counts and downed links.
 	faultMu     sync.Mutex
 	nodeKill    map[packet.NodeID]chan struct{}
 	nodeDone    map[packet.NodeID]chan struct{}
@@ -167,19 +164,17 @@ type Network struct {
 	linksDown   map[packet.NodeID][][2]packet.NodeID
 	sinkKill    chan struct{}
 	sinkDone    chan struct{}
-	sinkCkpt    []byte
 
-	mu      sync.Mutex
-	tracker *sink.Tracker
-	pipe    *sink.Pipeline
-	cluster *sink.Cluster // pnmlint:guarded-by mu
-	// shardCkpts holds the per-shard PNM2 blobs of crashed shards (and of
-	// the whole cluster while the sink is down); it travels with cluster
-	// under mu even though only the fault path writes it.
-	shardCkpts [][]byte // pnmlint:guarded-by mu
-	delivered  int
-	injected   int
-	dropped    int
+	// mu serializes the sink engine between the sink goroutine's folds,
+	// the fault path's crash/restore and verdict reads from anywhere; it
+	// also guards the settledness ledger.
+	mu sync.Mutex
+	// engine is the sink: every sink mode is a shape of it, and it keeps
+	// its own crash checkpoints.
+	engine    *sink.Cluster // pnmlint:guarded-by mu
+	delivered int
+	injected  int
+	dropped   int
 	// deliveredCh is closed and replaced under mu on every delivery or
 	// accounted drop, so WaitDelivered/WaitSettled and the fault scheduler
 	// can block instead of polling.
@@ -226,9 +221,9 @@ func Start(cfg Config) (*Network, error) {
 	// at sink arrival and topology-restricted resolvers walk that epoch's
 	// tree — the stale-resolver fix.
 	epochs := topology.NewEpochSet(cfg.Topo)
-	// Every sink incarnation — serial loop, pipeline worker, post-crash
-	// restore — builds its own verifier chain through this factory; only
-	// the KeyStore, the epoch set and obs counters are shared.
+	// Every sink engine worker and every shard restore builds its own
+	// verifier chain through this factory; only the KeyStore, the epoch
+	// set and obs counters are shared.
 	newVerifier := func() (sink.Verifier, error) {
 		var r sink.Resolver
 		if cfg.TopologyResolver {
@@ -236,20 +231,19 @@ func Start(cfg Config) (*Network, error) {
 		} else {
 			r = sink.NewExhaustiveResolver(cfg.Keys, cfg.Topo.Nodes())
 		}
-		v, err := sink.NewVerifier(cfg.Scheme, cfg.Keys, cfg.Topo.NumNodes(), r)
-		if err != nil {
-			return nil, err
-		}
-		if cfg.Obs != nil {
-			if in, ok := v.(sink.Instrumentable); ok {
-				in.Instrument(cfg.Obs)
-			}
-		}
-		return v, nil
+		return sink.NewVerifier(cfg.Scheme, cfg.Keys, cfg.Topo.NumNodes(), r)
 	}
-	verifier, err := newVerifier()
-	if err != nil {
+	if _, err := newVerifier(); err != nil {
 		return nil, err
+	}
+	// The call above validated the verifier chain, so the factory's error
+	// path is unreachable from here on.
+	factory := func() sink.Verifier {
+		v, err := newVerifier()
+		if err != nil {
+			panic(fmt.Sprintf("netsim: verifier factory: %v", err))
+		}
+		return v
 	}
 
 	n := &Network{
@@ -267,18 +261,7 @@ func Start(cfg Config) (*Network, error) {
 		nodeDone:    make(map[packet.NodeID]chan struct{}),
 		incarnation: make(map[packet.NodeID]int64),
 		linksDown:   make(map[packet.NodeID][][2]packet.NodeID),
-	}
-	if cfg.SinkShards <= 1 {
-		n.tracker = sink.NewTracker(verifier, cfg.Topo)
-	}
-	// The serial construction above already validated the verifier chain,
-	// so the factory's error path is unreachable from here on.
-	n.newVerifier = func() sink.Verifier {
-		v, err := newVerifier()
-		if err != nil {
-			panic(fmt.Sprintf("netsim: verifier factory: %v", err))
-		}
-		return v
+		engine:      sink.NewCluster(cfg.SinkShards, cfg.SinkWorkers, factory, cfg.Topo, cfg.Obs),
 	}
 	if cfg.Obs != nil {
 		n.obsDelivered = cfg.Obs.Counter("netsim.delivered")
@@ -289,24 +272,6 @@ func Start(cfg Config) (*Network, error) {
 		n.obsBlacklistRefused = cfg.Obs.Counter("netsim.blacklist_refused")
 		n.obsNodeDropped = cfg.Obs.Counter("netsim.node_dropped")
 		n.obsFault.bind(cfg.Obs)
-		if n.tracker != nil {
-			n.tracker.Instrument(cfg.Obs)
-		}
-	}
-	switch {
-	case cfg.SinkShards > 1:
-		// The shard trackers instrument themselves inside their worker
-		// goroutines; verifier-level metrics come from the factory. No
-		// goroutine is live yet, but the assignment takes mu to keep the
-		// cluster field's lock discipline unconditional.
-		n.mu.Lock()
-		n.cluster = sink.NewCluster(cfg.SinkShards, n.newVerifier, cfg.Topo, cfg.Obs)
-		n.mu.Unlock()
-	case cfg.SinkWorkers > 1:
-		n.pipe = sink.NewPipeline(cfg.SinkWorkers, n.newVerifier, n.tracker)
-		if cfg.Obs != nil {
-			n.pipe.Instrument(cfg.Obs)
-		}
 	}
 	for _, id := range cfg.Topo.Nodes() {
 		n.inbox[id] = make(chan transmission, cfg.QueueLen)
@@ -391,159 +356,61 @@ func (n *Network) runNode(id packet.NodeID, stack *node.Node, inc int64, kill, d
 	}
 }
 
-// runSink folds delivered packets into the tracker. kill ends this
-// incarnation only (sink crash); stop ends the network.
+// runSink is the sink goroutine: it blocks for one delivery, greedily
+// drains whatever else has already arrived (up to the sink queue's
+// depth), and folds the batch through the sink engine in arrival order.
+// A packet the engine drops because its shard is crashed terminates as an
+// accounted drop (netsim.fault.shard_dropped), so settledness stays sound
+// through shard outages. kill ends this incarnation only (sink crash);
+// stop ends the network.
 func (n *Network) runSink(kill, done chan struct{}) {
 	defer n.wg.Done()
 	defer close(done)
-	if n.cfg.SinkShards > 1 {
-		n.runSinkSharded(kill)
-		return
-	}
-	if n.pipe != nil {
-		n.runSinkPipelined(kill)
-		return
-	}
-	for {
-		select {
-		case <-n.stop:
-			return
-		case <-kill:
-			return
-		case tx := <-n.sinkCh:
-			// The sink also refuses traffic handed over by a quarantined
-			// neighbor.
-			if n.cfg.Blacklisted != nil && n.cfg.Blacklisted(tx.from) {
-				n.noteDrop(n.obsBlacklistRefused)
-				continue
-			}
-			n.mu.Lock()
-			n.tracker.ObserveAt(tx.msg, tx.epoch)
-			n.delivered++
-			n.obsDelivered.Inc()
-			n.broadcastLocked()
-			n.mu.Unlock()
-		}
-	}
-}
-
-// runSinkPipelined is the sink loop with SinkWorkers > 1: it blocks for
-// one delivery, greedily drains whatever else has already arrived (up to
-// the sink queue's depth), and verifies the batch across the pipeline's
-// workers. Folding happens in arrival order on this goroutine, so
-// verdicts and counters match the serial loop byte for byte.
-func (n *Network) runSinkPipelined(kill chan struct{}) {
-	defer n.pipe.Close()
 	batch := make([]packet.Message, 0, n.cfg.QueueLen)
 	epochs := make([]topology.EpochVersion, 0, n.cfg.QueueLen)
 	for {
+		batch, epochs = batch[:0], epochs[:0]
 		select {
 		case <-n.stop:
 			return
 		case <-kill:
 			return
 		case tx := <-n.sinkCh:
-			batch = batch[:0]
-			epochs = epochs[:0]
-			// The sink also refuses traffic handed over by a quarantined
-			// neighbor; refusals never reach the pipeline.
-			if n.cfg.Blacklisted == nil || !n.cfg.Blacklisted(tx.from) {
-				batch = append(batch, tx.msg)
-				epochs = append(epochs, tx.epoch)
-			} else {
-				n.noteDrop(n.obsBlacklistRefused)
-			}
-		drain:
-			for len(batch) < n.cfg.QueueLen {
-				select {
-				case tx = <-n.sinkCh:
-					if n.cfg.Blacklisted == nil || !n.cfg.Blacklisted(tx.from) {
-						batch = append(batch, tx.msg)
-						epochs = append(epochs, tx.epoch)
-					} else {
-						n.noteDrop(n.obsBlacklistRefused)
-					}
-				default:
-					break drain
-				}
-			}
-			if len(batch) == 0 {
-				continue
-			}
-			n.mu.Lock()
-			n.pipe.ObserveEpochs(batch, epochs)
-			n.delivered += len(batch)
-			n.obsDelivered.Add(uint64(len(batch)))
-			n.broadcastLocked()
-			n.mu.Unlock()
+			batch, epochs = n.admit(tx, batch, epochs)
 		}
+	drain:
+		for len(batch) < n.cfg.QueueLen {
+			select {
+			case tx := <-n.sinkCh:
+				batch, epochs = n.admit(tx, batch, epochs)
+			default:
+				break drain
+			}
+		}
+		if len(batch) == 0 {
+			continue
+		}
+		n.mu.Lock()
+		_, shardDropped := n.engine.Observe(batch, epochs)
+		delivered := len(batch) - shardDropped
+		n.delivered += delivered
+		n.obsDelivered.Add(uint64(delivered))
+		n.dropped += shardDropped
+		n.obsFault.shardDropped.Add(uint64(shardDropped))
+		n.broadcastLocked()
+		n.mu.Unlock()
 	}
 }
 
-// runSinkSharded is the sink loop with SinkShards > 1: batches drain off
-// the sink channel exactly like the pipelined loop, then partition across
-// the cluster's shards. A packet routed to a crashed shard terminates as
-// an accounted drop (netsim.fault.shard_dropped), so settledness stays
-// sound through per-shard outages. On network stop the merged state is
-// sealed into a read-only tracker so Verdict outlives the shard workers;
-// on sink kill the crash path owns the cluster's shutdown.
-func (n *Network) runSinkSharded(kill chan struct{}) {
-	batch := make([]packet.Message, 0, n.cfg.QueueLen)
-	epochs := make([]topology.EpochVersion, 0, n.cfg.QueueLen)
-	for {
-		select {
-		case <-n.stop:
-			n.mu.Lock()
-			if n.cluster != nil {
-				n.tracker = n.cluster.Seal()
-				n.cluster.Close()
-				n.cluster = nil
-			}
-			n.mu.Unlock()
-			return
-		case <-kill:
-			return // crashSinkLocked checkpoints and releases the cluster
-		case tx := <-n.sinkCh:
-			batch = batch[:0]
-			epochs = epochs[:0]
-			// The sink also refuses traffic handed over by a quarantined
-			// neighbor; refusals never reach the shards.
-			if n.cfg.Blacklisted == nil || !n.cfg.Blacklisted(tx.from) {
-				batch = append(batch, tx.msg)
-				epochs = append(epochs, tx.epoch)
-			} else {
-				n.noteDrop(n.obsBlacklistRefused)
-			}
-		drain:
-			for len(batch) < n.cfg.QueueLen {
-				select {
-				case tx = <-n.sinkCh:
-					if n.cfg.Blacklisted == nil || !n.cfg.Blacklisted(tx.from) {
-						batch = append(batch, tx.msg)
-						epochs = append(epochs, tx.epoch)
-					} else {
-						n.noteDrop(n.obsBlacklistRefused)
-					}
-				default:
-					break drain
-				}
-			}
-			if len(batch) == 0 {
-				continue
-			}
-			n.mu.Lock()
-			_, shardDropped := n.cluster.ObserveEpochs(batch, epochs)
-			delivered := len(batch) - shardDropped
-			n.delivered += delivered
-			n.obsDelivered.Add(uint64(delivered))
-			if shardDropped > 0 {
-				n.dropped += shardDropped
-				n.obsFault.shardDropped.Add(uint64(shardDropped))
-			}
-			n.broadcastLocked()
-			n.mu.Unlock()
-		}
+// admit appends a delivered frame to the sink's batch. The sink also
+// refuses traffic handed over by a quarantined neighbor; refusals never
+// reach the engine.
+func (n *Network) admit(tx transmission, batch []packet.Message, epochs []topology.EpochVersion) ([]packet.Message, []topology.EpochVersion) {
+	if n.cfg.Blacklisted != nil && n.cfg.Blacklisted(tx.from) {
+		n.noteDrop(n.obsBlacklistRefused)
+		return batch, epochs
 	}
+	return append(batch, tx.msg), append(epochs, tx.epoch)
 }
 
 // broadcastLocked wakes every goroutine parked on the progress channel.
@@ -732,28 +599,22 @@ func (n *Network) Dropped() int {
 	return n.dropped
 }
 
-// TrackerPackets returns how many packets the sink's tracker has folded.
-// It normally tracks Delivered exactly; a sink crash without restore, or a
-// restore from a legacy PNM1 checkpoint, can leave it behind.
+// TrackerPackets returns how many packets the sink engine has folded. It
+// normally tracks Delivered exactly; a crashed shard or sink counts what
+// it had folded when it crashed.
 func (n *Network) TrackerPackets() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.cluster != nil {
-		return n.cluster.Packets()
-	}
-	return n.tracker.Packets()
+	return n.engine.Packets()
 }
 
-// Verdict returns the sink's current traceback conclusion. In sharded
-// mode this merges the per-shard order matrices — byte-identical to the
-// serial sink's verdict over the same delivered stream.
+// Verdict returns the sink's current traceback conclusion —
+// byte-identical to the serial sink's verdict over the same delivered
+// stream at any shard or worker count.
 func (n *Network) Verdict() sink.Verdict {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.cluster != nil {
-		return n.cluster.Verdict()
-	}
-	return n.tracker.Verdict()
+	return n.engine.Verdict()
 }
 
 // NodeStats returns a node's forwarding counters. Call after Close for a
@@ -823,11 +684,15 @@ func (n *Network) WaitSettled(timeout time.Duration) error {
 	}
 }
 
-// Close stops every goroutine and waits for them to exit. Safe to call
+// Close stops every goroutine and waits for them to exit, then seals the
+// sink engine so Verdict and TrackerPackets stay readable. Safe to call
 // more than once.
 func (n *Network) Close() {
 	n.closeOnce.Do(func() {
 		close(n.stop)
 	})
 	n.wg.Wait()
+	n.mu.Lock()
+	n.engine.Close()
+	n.mu.Unlock()
 }

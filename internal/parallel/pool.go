@@ -8,7 +8,7 @@ import (
 // Pool is a persistent worker pool whose workers each own private state
 // built by a factory invoked inside the worker's goroutine — the
 // one-private-chain-per-goroutine ownership story (see the package doc)
-// packaged as a reusable primitive. The sink's verification pipeline uses
+// packaged as a reusable primitive. The sink engine (sink.Cluster) uses
 // it to keep one verifier + resolver + key-schedule cache warm per worker
 // across batches instead of rebuilding them per call.
 //

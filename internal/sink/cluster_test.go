@@ -72,7 +72,7 @@ func clusterScenario(t testing.TB, seed int64, nodes, sources, packets int) (*to
 // visibleCounters extracts the verdict-visible counter set the shard
 // invariance contract covers. Cache-locality metrics (resolver probes per
 // shard, schedule misses) legitimately vary with the partition and are
-// excluded, exactly as in the Pipeline contract.
+// excluded, exactly as in the pipelined round's contract.
 func visibleCounters(reg *obs.Registry) map[string]uint64 {
 	return map[string]uint64{
 		"tracker.packets": reg.Counter("sink.tracker.packets").Value(),
@@ -124,10 +124,10 @@ func TestClusterShardInvarianceProperty(t *testing.T) {
 
 		for _, shards := range []int{1, 2, 8} {
 			reg := obs.New()
-			c := NewCluster(shards, instrumentedFactory(factory, reg), topo, reg)
+			c := NewCluster(shards, 1, instrumentedFactory(factory, reg), topo, reg)
 			for lo := 0; lo < len(stream); lo += 16 {
 				hi := min(lo+16, len(stream))
-				res, dropped := c.Observe(stream[lo:hi])
+				res, dropped := c.Observe(stream[lo:hi], nil)
 				if dropped != 0 {
 					t.Errorf("shards=%d: dropped %d with no crash", shards, dropped)
 				}
@@ -177,29 +177,31 @@ func TestClusterShardCrashRestoreRoundTrip(t *testing.T) {
 
 	const shards = 4
 	reg := obs.New()
-	c := NewCluster(shards, factory, topo, reg)
+	c := NewCluster(shards, 1, factory, topo, reg)
 	defer c.Close()
 	half := len(stream) / 2
-	if _, dropped := c.Observe(stream[:half]); dropped != 0 {
+	if _, dropped := c.Observe(stream[:half], nil); dropped != 0 {
 		t.Fatalf("dropped %d before crash", dropped)
 	}
 
 	const victim = 2
-	blob, err := c.CrashShard(victim)
-	if err != nil {
+	if err := c.CrashShard(victim); err != nil {
 		t.Fatalf("crash: %v", err)
 	}
-	if _, err := c.CrashShard(victim); err == nil {
+	if err := c.CrashShard(victim); err == nil {
 		t.Fatal("double crash not rejected")
+	}
+	if c.CrashShard(-1) == nil || c.CrashShard(shards) == nil || c.RestoreShard(-1) == nil {
+		t.Fatal("out-of-range shard index not rejected")
 	}
 	// A merge with a crashed shard must not panic: the victim contributes
 	// its at-crash PNM2 evidence.
 	_ = c.Verdict()
 
-	if err := c.RestoreShard(victim, blob); err != nil {
+	if err := c.RestoreShard(victim); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
-	if _, dropped := c.Observe(stream[half:]); dropped != 0 {
+	if _, dropped := c.Observe(stream[half:], nil); dropped != 0 {
 		t.Fatalf("dropped %d after restore", dropped)
 	}
 	if got := c.Verdict(); !reflect.DeepEqual(got, want) {
@@ -219,29 +221,43 @@ func TestClusterShardCrashRestoreRoundTrip(t *testing.T) {
 // TestClusterDropsWhileShardDown pins the shard-down semantics: packets
 // partitioned to a crashed shard drop (and are counted), every other
 // shard keeps folding, and the lost evidence is exactly the down shard's
-// share — the transport ledger's shard-granular analogue.
+// share — the transport ledger's shard-granular analogue. Packets, which
+// sums per-shard counts without merging, must include what the down
+// shard had folded before it crashed.
 func TestClusterDropsWhileShardDown(t *testing.T) {
 	topo, factory, stream := clusterScenario(t, 23, 30, 5, 120)
 	const shards = 4
 	reg := obs.New()
-	c := NewCluster(shards, factory, topo, reg)
+	c := NewCluster(shards, 1, factory, topo, reg)
 	defer c.Close()
 
 	const victim = 1
-	share := 0
-	for _, msg := range stream {
-		if ShardOf(msg.Report, shards) == victim {
+	half := len(stream) / 2
+	before, share := 0, 0
+	for i, msg := range stream {
+		if ShardOf(msg.Report, shards) != victim {
+			continue
+		}
+		if i < half {
+			before++
+		} else {
 			share++
 		}
 	}
-	if share == 0 || share == len(stream) {
-		t.Fatalf("degenerate partition: victim owns %d of %d", share, len(stream))
+	if before == 0 || share == 0 || share == len(stream)-half {
+		t.Fatalf("degenerate partition: victim owns %d before and %d after the crash", before, share)
 	}
 
-	if _, err := c.CrashShard(victim); err != nil {
+	if _, dropped := c.Observe(stream[:half], nil); dropped != 0 {
+		t.Fatalf("dropped %d before the crash", dropped)
+	}
+	if err := c.CrashShard(victim); err != nil {
 		t.Fatalf("crash: %v", err)
 	}
-	_, dropped := c.Observe(stream)
+	if got := c.Packets(); got != half {
+		t.Fatalf("packets right after the crash = %d, want %d", got, half)
+	}
+	_, dropped := c.Observe(stream[half:], nil)
 	if dropped != share {
 		t.Fatalf("dropped %d, want the victim's share %d", dropped, share)
 	}
@@ -249,7 +265,101 @@ func TestClusterDropsWhileShardDown(t *testing.T) {
 		t.Fatalf("dropped_while_down = %d, want %d", got, share)
 	}
 	if got := c.Packets(); got != len(stream)-share {
-		t.Fatalf("packets = %d, want %d", got, len(stream)-share)
+		t.Fatalf("packets while shard %d is down = %d, want %d", victim, got, len(stream)-share)
+	}
+	if err := c.RestoreShard(victim); err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	if got := c.Packets(); got != len(stream)-share {
+		t.Fatalf("packets after restore = %d, want %d", got, len(stream)-share)
+	}
+}
+
+// TestClusterWholeSinkCrashRestore crashes and restores the whole sink
+// mid-stream at 1 and 2 shards. Packets observed while it is down are
+// dropped; the verdict, Candidates and Packets — while down and after the
+// restore — must equal those of an uninterrupted serial Tracker fed
+// exactly the packets that were delivered.
+func TestClusterWholeSinkCrashRestore(t *testing.T) {
+	topo, factory, stream := clusterScenario(t, 41, 32, 4, 240)
+	third := len(stream) / 3
+	for _, shards := range []int{1, 2} {
+		reg := obs.New()
+		c := NewCluster(shards, 1, factory, topo, reg)
+		ref := NewTracker(factory(), topo)
+		deliver := func(batch []packet.Message) {
+			t.Helper()
+			if _, dropped := c.Observe(batch, nil); dropped != 0 {
+				t.Fatalf("shards=%d: dropped %d while up", shards, dropped)
+			}
+			for _, msg := range batch {
+				ref.Observe(msg)
+			}
+		}
+		same := func(when string) {
+			t.Helper()
+			if got, want := c.Verdict(), ref.Verdict(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("shards=%d %s: verdict %+v, want %+v", shards, when, got, want)
+			}
+			if got, want := c.Candidates(), ref.Candidates(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("shards=%d %s: candidates %v, want %v", shards, when, got, want)
+			}
+			if got, want := c.Packets(), ref.Packets(); got != want {
+				t.Fatalf("shards=%d %s: packets %d, want %d", shards, when, got, want)
+			}
+		}
+
+		deliver(stream[:third])
+		if err := c.Crash(); err != nil {
+			t.Fatalf("shards=%d: crash: %v", shards, err)
+		}
+		if err := c.Crash(); err == nil {
+			t.Fatalf("shards=%d: second crash not rejected", shards)
+		}
+		if _, dropped := c.Observe(stream[third:2*third], nil); dropped != third {
+			t.Fatalf("shards=%d: dropped %d while down, want %d", shards, dropped, third)
+		}
+		same("while down")
+		if err := c.Restore(); err != nil {
+			t.Fatalf("shards=%d: restore: %v", shards, err)
+		}
+		if err := c.Restore(); err == nil {
+			t.Fatalf("shards=%d: restore of a live sink not rejected", shards)
+		}
+		same("after restore")
+		deliver(stream[2*third:])
+		same("at the end")
+		if got := reg.Counter("sink.cluster.shard_crashes").Value(); got != uint64(shards) {
+			t.Fatalf("shards=%d: shard_crashes = %d, want one per shard", shards, got)
+		}
+		c.Close()
+	}
+}
+
+// TestClusterReadableAfterClose pins that Close seals the cluster's
+// state: Verdict, Candidates and Packets after Close equal their values
+// before it, at every round shape, and crash/restore on a closed cluster
+// are rejected instead of reaching the stopped workers.
+func TestClusterReadableAfterClose(t *testing.T) {
+	topo, factory, stream := clusterScenario(t, 53, 30, 4, 160)
+	for _, shape := range []struct{ shards, workers int }{{1, 1}, {1, 4}, {2, 1}, {4, 1}} {
+		c := NewCluster(shape.shards, shape.workers, factory, topo, nil)
+		c.Observe(stream, nil)
+		verdict, candidates, packets := c.Verdict(), c.Candidates(), c.Packets()
+		c.Close()
+		c.Close()
+		if got := c.Verdict(); !reflect.DeepEqual(got, verdict) {
+			t.Fatalf("%+v: verdict after Close %+v, want %+v", shape, got, verdict)
+		}
+		if got := c.Candidates(); !reflect.DeepEqual(got, candidates) {
+			t.Fatalf("%+v: candidates after Close %v, want %v", shape, got, candidates)
+		}
+		if got := c.Packets(); got != packets {
+			t.Fatalf("%+v: packets after Close %d, want %d", shape, got, packets)
+		}
+		if c.Crash() == nil || c.Restore() == nil || c.CrashShard(0) == nil || c.RestoreShard(0) == nil {
+			t.Fatalf("%+v: crash or restore accepted on a closed cluster", shape)
+		}
 	}
 }
 
@@ -259,8 +369,8 @@ func TestClusterDropsWhileShardDown(t *testing.T) {
 func TestClusterCheckpointRestoreCluster(t *testing.T) {
 	topo, factory, stream := clusterScenario(t, 31, 28, 3, 150)
 	const shards = 8
-	c := NewCluster(shards, factory, topo, nil)
-	c.Observe(stream)
+	c := NewCluster(shards, 1, factory, topo, nil)
+	c.Observe(stream, nil)
 	want := c.Verdict()
 	wantPackets := c.Packets()
 	blobs := c.Checkpoint()

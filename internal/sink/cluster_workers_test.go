@@ -15,12 +15,12 @@ import (
 	"pnm/internal/topology"
 )
 
-// pipelineTraffic marks randomized interleaved multi-source traffic over
+// workersTraffic marks randomized interleaved multi-source traffic over
 // topo: each source emits several distinct reports, retransmits each a
 // few times, and the deliveries shuffle together — the regime the
-// resolver cache and the pipeline are built for. A fraction of packets
-// get one mark's MAC corrupted so Stopped results appear too.
-func pipelineTraffic(topo *topology.Network, rng *rand.Rand, sources, reports, repeats int) []packet.Message {
+// resolver cache and the pipelined round are built for. A fraction of
+// packets get one mark's MAC corrupted so Stopped results appear too.
+func workersTraffic(topo *topology.Network, rng *rand.Rand, sources, reports, repeats int) []packet.Message {
 	scheme := marking.PNM{P: 0.4}
 	nodes := topo.Nodes()
 	var stream []packet.Message
@@ -46,10 +46,10 @@ func pipelineTraffic(topo *topology.Network, rng *rand.Rand, sources, reports, r
 	return stream
 }
 
-// runPipeline pushes stream through a fresh pipeline with the given
-// worker count in batches of batchLen, collecting a deep copy of every
-// Result, the final verdict, and the verdict-visible obs counters.
-func runPipeline(t *testing.T, topo *topology.Network, stream []packet.Message, workers, batchLen int) ([]Result, Verdict, map[string]uint64) {
+// runWorkers pushes stream through a fresh one-shard cluster with the
+// given worker count in batches of batchLen, collecting a deep copy of
+// every Result, the final verdict, and the verdict-visible obs counters.
+func runWorkers(t *testing.T, topo *topology.Network, stream []packet.Message, workers, batchLen int) ([]Result, Verdict, map[string]uint64) {
 	t.Helper()
 	reg := obs.New()
 	factory := func() Verifier {
@@ -58,23 +58,19 @@ func runPipeline(t *testing.T, topo *topology.Network, stream []packet.Message, 
 		if err != nil {
 			panic(err)
 		}
-		v.(*NestedVerifier).Instrument(reg)
 		return v
 	}
-	serialV, err := NewVerifier(marking.PNM{P: 0.4}, testKS, topo.NumNodes(), NewExhaustiveResolver(testKS, topo.Nodes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tracker := NewTracker(serialV, topo)
-	tracker.Instrument(reg)
-	pipe := NewPipeline(workers, factory, tracker)
-	pipe.Instrument(reg)
-	defer pipe.Close()
+	c := NewCluster(1, workers, factory, topo, reg)
+	defer c.Close()
 
 	var all []Result
 	for lo := 0; lo < len(stream); lo += batchLen {
 		hi := min(lo+batchLen, len(stream))
-		for _, res := range pipe.Observe(stream[lo:hi]) {
+		results, dropped := c.Observe(stream[lo:hi], nil)
+		if dropped != 0 {
+			t.Fatalf("workers %d: dropped %d with no crash", workers, dropped)
+		}
+		for _, res := range results {
 			cp := Result{Stopped: res.Stopped, Chain: append([]packet.NodeID(nil), res.Chain...)}
 			all = append(all, cp)
 		}
@@ -86,22 +82,22 @@ func runPipeline(t *testing.T, topo *topology.Network, stream []packet.Message, 
 		"sink.tracker.packets":       reg.Counter("sink.tracker.packets").Value(),
 		"sink.tracker.chains_folded": reg.Counter("sink.tracker.chains_folded").Value(),
 	}
-	return all, tracker.Verdict(), visible
+	return all, c.Verdict(), visible
 }
 
-// TestPipelineDeterministicAcrossWorkerCounts is the pipeline's
-// determinism property test: for randomized interleaved multi-source
-// traffic, worker counts 1, 2 and 8 must produce identical per-packet
-// Results, identical verdicts, and identical verdict-visible obs
-// counters — and all must match the serial tracker.
-func TestPipelineDeterministicAcrossWorkerCounts(t *testing.T) {
+// TestClusterWorkersDeterministic is the pipelined round's determinism
+// property test: for randomized interleaved multi-source traffic, a
+// one-shard cluster at 1, 2, 4 and 8 workers must produce identical
+// per-packet Results, identical verdicts, and identical verdict-visible
+// obs counters — and all must match the serial tracker.
+func TestClusterWorkersDeterministic(t *testing.T) {
 	topo, err := topology.NewGrid(topology.GridConfig{Width: 6, Height: 6, Spacing: 1, RadioRange: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	f := func(seed int64, rawBatch uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		stream := pipelineTraffic(topo, rng, 3, 2, 3)
+		stream := workersTraffic(topo, rng, 3, 2, 3)
 		batchLen := int(rawBatch%16) + 1
 
 		// Serial reference: one tracker observing the stream in order.
@@ -119,8 +115,8 @@ func TestPipelineDeterministicAcrossWorkerCounts(t *testing.T) {
 		refVerdict := ref.Verdict()
 
 		var first map[string]uint64
-		for _, workers := range []int{1, 2, 8} {
-			results, verdict, visible := runPipeline(t, topo, stream, workers, batchLen)
+		for _, workers := range []int{1, 2, 4, 8} {
+			results, verdict, visible := runWorkers(t, topo, stream, workers, batchLen)
 			if !reflect.DeepEqual(results, refResults) {
 				t.Errorf("seed %d, workers %d: results diverged from serial", seed, workers)
 				return false
@@ -143,12 +139,12 @@ func TestPipelineDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestPipelineSharedKeyStoreRace exercises the one piece of genuinely
-// shared state — the KeyStore — under worker concurrency, with schedules
-// being built in every worker at once. Run under -race (the CI race list
-// includes this package) it proves the store's synchronization is the
-// only synchronization the pipeline needs.
-func TestPipelineSharedKeyStoreRace(t *testing.T) {
+// TestClusterWorkersSharedKeyStoreRace exercises the one piece of
+// genuinely shared state — the KeyStore — under worker concurrency, with
+// schedules being built in every worker at once. Run under -race (the CI
+// race list includes this package) it proves the store's synchronization
+// is the only synchronization the pipelined round needs.
+func TestClusterWorkersSharedKeyStoreRace(t *testing.T) {
 	topo, err := topology.NewGrid(topology.GridConfig{Width: 6, Height: 6, Spacing: 1, RadioRange: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -171,8 +167,8 @@ func TestPipelineSharedKeyStoreRace(t *testing.T) {
 		}
 	}
 
-	// Two pipelines sharing one KeyStore, run concurrently from two
-	// goroutines, each folding into its own tracker.
+	// Two 8-worker clusters sharing one KeyStore, run concurrently from
+	// two goroutines.
 	var wg sync.WaitGroup
 	for g := 0; g < 2; g++ {
 		wg.Add(1)
@@ -185,19 +181,65 @@ func TestPipelineSharedKeyStoreRace(t *testing.T) {
 				}
 				return v
 			}
-			serialV, err := NewVerifier(scheme, keys, topo.NumNodes(), NewExhaustiveResolver(keys, topo.Nodes()))
-			if err != nil {
-				panic(err)
-			}
-			pipe := NewPipeline(8, factory, NewTracker(serialV, topo))
-			defer pipe.Close()
+			c := NewCluster(1, 8, factory, topo, nil)
+			defer c.Close()
 			for i := 0; i < 4; i++ {
-				pipe.Observe(stream)
+				c.Observe(stream, nil)
 			}
-			if got := pipe.Tracker().Packets(); got != 4*len(stream) {
-				panic(fmt.Sprintf("tracker folded %d packets, want %d", got, 4*len(stream)))
+			if got := c.Packets(); got != 4*len(stream) {
+				panic(fmt.Sprintf("cluster folded %d packets, want %d", got, 4*len(stream)))
 			}
 		}()
 	}
 	wg.Wait()
+}
+
+// TestClusterVerdictAllocs pins the verdict fast path: a one-shard
+// cluster answers on the shard's own worker, paying Tracker.Verdict's
+// allocations plus the pool round's one — never the merge.
+func TestClusterVerdictAllocs(t *testing.T) {
+	topo, factory, stream := clusterScenario(t, 61, 40, 3, 400)
+	c := NewCluster(1, 1, factory, topo, nil)
+	defer c.Close()
+	c.Observe(stream, nil)
+	ref := NewTracker(nil, topo)
+	ref.order = c.merged().order
+	tracker := testing.AllocsPerRun(100, func() { ref.Verdict() })
+	if allocs := testing.AllocsPerRun(100, func() { c.Verdict() }); allocs > tracker+2 || allocs > 8 {
+		t.Fatalf("one-shard Cluster.Verdict allocates %.0f times, want <= 8 (Tracker.Verdict: %.0f)", allocs, tracker)
+	}
+}
+
+// benchVerdict keeps the benchmarked reads observable to the compiler.
+var benchVerdict Verdict
+
+// BenchmarkClusterVerdict times Verdict on a settled cluster. At one
+// shard the fast path answers on the shard's own worker; "merge" times
+// the same state read through a full merge, the path every verdict took
+// before the fast path; at four shards (evidence on two of them) the
+// live orders merge on their owning workers.
+func BenchmarkClusterVerdict(b *testing.B) {
+	topo, factory, stream := clusterScenario(b, 61, 400, 8, 4000)
+	for _, bc := range []struct {
+		name   string
+		shards int
+		read   func(c *Cluster) Verdict
+	}{
+		{"shards=1", 1, (*Cluster).Verdict},
+		{"shards=1/merge", 1, func(c *Cluster) Verdict { return c.merged().Verdict() }},
+		{"shards=4", 4, (*Cluster).Verdict},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			c := NewCluster(bc.shards, 1, factory, topo, nil)
+			defer c.Close()
+			for lo := 0; lo < len(stream); lo += 256 {
+				c.Observe(stream[lo:min(lo+256, len(stream))], nil)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchVerdict = bc.read(c)
+			}
+		})
+	}
 }

@@ -127,7 +127,7 @@ func epochScenario(t *testing.T, seed int64, nodes, sources, packets, numEpochs 
 // to epoch-tagged traffic: a stream whose packets traveled under four
 // different routing epochs produces byte-identical per-packet results and
 // verdicts whether observed serially (ObserveAt) or through a 1-, 2- or
-// 4-shard cluster (ObserveEpochs), with no honest chain reported stopped.
+// 4-shard cluster (Observe with epochs), with no honest chain reported stopped.
 func TestClusterEpochTaggedDeterminism(t *testing.T) {
 	base, _, factory, stream, epochs := epochScenario(t, 424, 30, 4, 80, 4)
 
@@ -146,10 +146,10 @@ func TestClusterEpochTaggedDeterminism(t *testing.T) {
 	baseVerdict := tracker.Verdict()
 
 	for _, shards := range []int{1, 2, 4} {
-		c := NewCluster(shards, factory, base, nil)
+		c := NewCluster(shards, 1, factory, base, nil)
 		for lo := 0; lo < len(stream); lo += 16 {
 			hi := min(lo+16, len(stream))
-			res, dropped := c.ObserveEpochs(stream[lo:hi], epochs[lo:hi])
+			res, dropped := c.Observe(stream[lo:hi], epochs[lo:hi])
 			if dropped != 0 {
 				t.Errorf("shards=%d: dropped %d with no crash", shards, dropped)
 			}

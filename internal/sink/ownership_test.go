@@ -90,7 +90,7 @@ func TestSingleGoroutineAnnotations(t *testing.T) {
 		"TopologyResolver":   "resolve.go",
 		"NestedVerifier":     "verify.go",
 		"AMSVerifier":        "verify.go",
-		"Pipeline":           "pipeline.go",
+		"Cluster":            "cluster.go",
 	}
 	fset := token.NewFileSet()
 	for typeName, file := range want {

@@ -119,10 +119,11 @@ func (t *Tracker) ResetVerifyScratch() {
 }
 
 // Fold records an already-verified result into the route reconstruction.
-// The verification pipeline verifies batches on worker-private verifiers
-// and folds the results here, on the tracker's owning goroutine, in
-// arrival order — which is what keeps the reconstructed order (and every
-// verdict derived from it) byte-identical at any worker count.
+// The sink engine's pipelined round verifies batches on worker-private
+// verifiers and folds the results here, on the tracker's owning
+// goroutine, in arrival order — which is what keeps the reconstructed
+// order (and every verdict derived from it) byte-identical at any worker
+// count.
 func (t *Tracker) Fold(res Result) {
 	t.order.AddChain(res.Chain)
 	t.packets++

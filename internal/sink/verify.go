@@ -66,8 +66,8 @@ type Instrumentable interface {
 // Result the verifier returned since the previous reset, so it must only
 // happen at a point where those Results are dead. Tracker.Observe resets
 // before each packet (its Result is valid until the next Observe); the
-// batch paths — Pipeline, Cluster — reset once per worker round, keeping
-// a whole round's Results alive together until the next round.
+// sink engine (Cluster) resets once per worker round, keeping a whole
+// round's Results alive together until the next round.
 type VerifyScratch interface {
 	ResetVerifyScratch()
 }
@@ -114,8 +114,8 @@ func NewVerifier(s marking.Scheme, keys *mac.KeyStore, numNodes int, resolver Re
 //
 // pnmlint:single-goroutine — the verifier owns a private schedule cache
 // and a reusable MAC-input buffer; one goroutine owns an instance for its
-// lifetime (see the package doc's Ownership section). The sink pipeline
-// honors this by constructing one verifier chain per worker.
+// lifetime (see the package doc's Ownership section). The sink engine
+// (Cluster) honors this by constructing one verifier chain per worker.
 type NestedVerifier struct {
 	keys     *mac.KeyStore
 	numNodes int

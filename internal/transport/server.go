@@ -17,9 +17,9 @@ import (
 
 // Config describes an ingest server.
 type Config struct {
-	// NewVerifier builds one single-goroutine verifier chain. The serial
-	// sink, every pipeline worker and every chaos restore construct their
-	// own instance through it. Required.
+	// NewVerifier builds one single-goroutine verifier chain. Every sink
+	// engine worker and every chaos restore construct their own instance
+	// through it. Required.
 	NewVerifier func() sink.Verifier
 	// Topo, when non-nil, lets verdicts name one-hop neighborhoods.
 	Topo *topology.Network
@@ -31,21 +31,22 @@ type Config struct {
 	// epoch — byte-identical to the pre-epoch server, which is what the
 	// loopback-equivalence tests pin.
 	Epochs *topology.EpochSet
-	// Workers > 1 verifies batches through a sink.Pipeline of that many
-	// workers; <= 1 keeps the serial sink loop. Verdicts are
-	// byte-identical either way.
+	// Workers > 1 verifies each batch across that many workers of the
+	// sink engine (sink.Cluster), then folds the results in arrival
+	// order; <= 1 verifies serially. Verdicts are byte-identical either
+	// way.
 	Workers int
-	// Shards > 1 folds batches through a sink.Cluster instead: the batch
-	// partitions by source identity across that many shards, each with
-	// its own tracker, resolver cache and key schedules, and verdicts
-	// merge across shards deterministically — still byte-identical to the
-	// serial sink. Shards supersedes Workers (the shards are the
-	// parallelism); checkpoints become per-shard PNM2 blobs, so chaos can
-	// crash and restore one shard while the rest keep verifying.
+	// Shards > 1 splits the sink engine into that many shards instead:
+	// the batch partitions by source identity, each shard has its own
+	// tracker, resolver cache and key schedules, and verdicts merge across
+	// shards deterministically — still byte-identical to the serial sink.
+	// Shards supersedes Workers (the shards are the parallelism). Each
+	// shard checkpoints to its own PNM2 blob, so chaos can crash and
+	// restore one shard while the rest keep verifying.
 	Shards int
 	// QueueDepth is the ingest queue depth between the socket readers and
 	// the sink goroutine (default 256). It is also the maximum batch one
-	// pipeline pass verifies.
+	// engine round verifies.
 	QueueDepth int
 	// Policy selects what a reader does when the ingest queue is full:
 	// Block applies lossless backpressure (the stall propagates into the
@@ -75,16 +76,16 @@ type ChaosKind int
 // exists on a real server (there are no simulated nodes to crash here;
 // node and link events belong to the network in front of the server).
 const (
-	// ChaosSinkCrash checkpoints the tracker (PNM2) and takes the sink
-	// down; frames keep arriving and are dropped, counted.
+	// ChaosSinkCrash has the sink engine checkpoint every shard (PNM2)
+	// and takes the sink down; frames keep arriving and are dropped,
+	// counted.
 	ChaosSinkCrash ChaosKind = iota + 1
-	// ChaosSinkRestore rebuilds the sink chain from the crash checkpoint
-	// with a fresh verifier (and pipeline, when Workers > 1; per-shard
-	// blobs and a fresh cluster, when Shards > 1).
+	// ChaosSinkRestore rebuilds every shard from its crash checkpoint with
+	// a fresh verifier chain.
 	ChaosSinkRestore
-	// ChaosShardCrash checkpoints one cluster shard (PNM2) and takes only
-	// it down; the other shards keep verifying and the down shard's
-	// packets are dropped and counted. Requires Shards > 1.
+	// ChaosShardCrash checkpoints one sink shard (PNM2) and takes only it
+	// down; the other shards keep verifying and the down shard's packets
+	// are dropped and counted. With one shard, shard 0 is the whole sink.
 	ChaosShardCrash
 	// ChaosShardRestore rebuilds the crashed shard from its own blob.
 	ChaosShardRestore
@@ -246,22 +247,17 @@ type Server struct {
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{} // pnmlint:guarded-by connMu
 
-	// mu guards the sink state: the tracker (single-goroutine folds on
-	// the sink goroutine; verdict reads from anywhere synchronize here,
-	// the same discipline netsim.Network uses), the pipeline, the
-	// delivered count and the progress broadcast channel.
+	// mu guards the sink state: the engine (folds and chaos on the sink
+	// goroutine; verdict reads from anywhere synchronize here, the same
+	// discipline netsim.Network uses), the delivered count, the progress
+	// broadcast channel and the fold scratch.
 	mu          sync.Mutex
-	tracker     *sink.Tracker    // pnmlint:guarded-by mu
-	pipe        *sink.Pipeline   // pnmlint:guarded-by mu
-	cluster     *sink.Cluster    // pnmlint:guarded-by mu
-	down        bool             // pnmlint:guarded-by mu
-	ckpt        []byte           // pnmlint:guarded-by mu
-	shardCkpts  [][]byte         // pnmlint:guarded-by mu
+	engine      *sink.Cluster    // pnmlint:guarded-by mu
 	delivered   int              // pnmlint:guarded-by mu
 	deliveredCh chan struct{}    // pnmlint:guarded-by mu
 	foldMsgs    []packet.Message // pnmlint:guarded-by mu
 	// foldEpochs mirrors foldMsgs slot for slot with each frame's arrival
-	// epoch when Config.Epochs is set.
+	// epoch (always 0 without Config.Epochs).
 	foldEpochs []topology.EpochVersion // pnmlint:guarded-by mu
 
 	closeOnce sync.Once
@@ -293,25 +289,6 @@ func Listen(addr, udpAddr string, cfg Config) (*Server, error) {
 			return nil, err
 		}
 	}
-	// Build the guarded sink state before the Server value exists: once
-	// the &Server{} literal publishes it to the goroutines below, every
-	// touch of tracker/pipe/cluster must hold mu.
-	var (
-		tracker *sink.Tracker
-		pipe    *sink.Pipeline
-		cluster *sink.Cluster
-	)
-	if cfg.Shards > 1 {
-		cluster = newCluster(cfg)
-	} else {
-		tracker = sink.NewTracker(cfg.NewVerifier(), cfg.Topo)
-		if cfg.Obs != nil {
-			tracker.Instrument(cfg.Obs)
-		}
-		if cfg.Workers > 1 {
-			pipe = newPipeline(cfg, tracker)
-		}
-	}
 	s := &Server{
 		cfg:         cfg,
 		ln:          ln,
@@ -319,9 +296,7 @@ func Listen(addr, udpAddr string, cfg Config) (*Server, error) {
 		ingest:      make(chan item, cfg.QueueDepth),
 		stop:        make(chan struct{}),
 		conns:       make(map[net.Conn]struct{}),
-		tracker:     tracker,
-		pipe:        pipe,
-		cluster:     cluster,
+		engine:      sink.NewCluster(cfg.Shards, cfg.Workers, cfg.NewVerifier, cfg.Topo, cfg.Obs),
 		deliveredCh: make(chan struct{}),
 	}
 	s.c.bind(cfg.Obs)
@@ -333,49 +308,6 @@ func Listen(addr, udpAddr string, cfg Config) (*Server, error) {
 		go s.udpLoop()
 	}
 	return s, nil
-}
-
-// newPipeline builds a verification pipeline folding into tracker, with
-// instrumented factory-owned verifier chains per worker. It is a free
-// function so Listen can build the pipeline before the Server value —
-// and its lock discipline — exists.
-func newPipeline(cfg Config, tracker *sink.Tracker) *sink.Pipeline {
-	factory := func() sink.Verifier {
-		v := cfg.NewVerifier()
-		if cfg.Obs != nil {
-			if in, ok := v.(sink.Instrumentable); ok {
-				in.Instrument(cfg.Obs)
-			}
-		}
-		return v
-	}
-	p := sink.NewPipeline(cfg.Workers, factory, tracker)
-	if cfg.Obs != nil {
-		p.Instrument(cfg.Obs)
-	}
-	return p
-}
-
-// newCluster builds the sharded sink for Config.Shards > 1. Like
-// newPipeline it is a free function so Listen (and chaos restore) can
-// build the cluster outside the Server's lock discipline; the shard
-// trackers instrument themselves inside their owning worker goroutines.
-func newCluster(cfg Config) *sink.Cluster {
-	return sink.NewCluster(cfg.Shards, clusterFactory(cfg), cfg.Topo, cfg.Obs)
-}
-
-// clusterFactory wraps cfg.NewVerifier with obs instrumentation, the same
-// per-worker verifier recipe the pipeline uses.
-func clusterFactory(cfg Config) func() sink.Verifier {
-	return func() sink.Verifier {
-		v := cfg.NewVerifier()
-		if cfg.Obs != nil {
-			if in, ok := v.(sink.Instrumentable); ok {
-				in.Instrument(cfg.Obs)
-			}
-		}
-		return v
-	}
 }
 
 // getMsg takes a message from the pool; the caller owns it until it
@@ -656,18 +588,11 @@ func (s *Server) enqueue(msg *packet.Message) bool {
 
 // sinkLoop is the single goroutine that owns folding: it blocks for one
 // item, greedily drains whatever else has arrived (up to the queue
-// depth), and folds the batch — serially or across the pipeline. Chaos
-// events fire here, at processed-frame milestones, so crash/restore
-// serializes with folding by construction.
+// depth), and folds the batch through the sink engine. Chaos events fire
+// here, at processed-frame milestones, so crash/restore serializes with
+// folding by construction.
 func (s *Server) sinkLoop() {
 	defer s.wg.Done()
-	defer func() {
-		s.mu.Lock()
-		if s.pipe != nil {
-			s.pipe.Close()
-		}
-		s.mu.Unlock()
-	}()
 	processed := 0
 	chaos := 0
 	batch := make([]item, 0, s.cfg.QueueDepth)
@@ -708,45 +633,26 @@ func (s *Server) sinkLoop() {
 	}
 }
 
-// fold verifies and folds one batch, or drops it while the sink is down.
+// fold verifies and folds one batch through the sink engine. Frames the
+// engine drops because their shard (or the whole sink) is down are
+// counted as dropped while down.
 func (s *Server) fold(batch []item) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.down {
-		s.c.droppedWhileDown.Add(uint64(len(batch)))
-		return
+	// Flatten the pooled-item batch into the reusable message slice the
+	// engine observes. The Message headers are copied; the mark storage
+	// still belongs to the pooled messages, which stay owned by the sink
+	// goroutine until releaseBatch — Observe has returned by then, so no
+	// worker reads a released message.
+	s.foldMsgs = s.foldMsgs[:0]
+	s.foldEpochs = s.foldEpochs[:0]
+	for i := range batch {
+		s.foldMsgs = append(s.foldMsgs, *batch[i].msg)
+		s.foldEpochs = append(s.foldEpochs, batch[i].epoch)
 	}
-	delivered := len(batch)
-	if s.cluster != nil || s.pipe != nil {
-		// Flatten the pooled-item batch into the reusable message slice
-		// the pipeline and cluster Observe. The Message headers are
-		// copied; the mark storage still belongs to the pooled messages,
-		// which stay owned by the sink goroutine until releaseBatch —
-		// Observe has returned by then, so no worker reads a released
-		// message.
-		s.foldMsgs = s.foldMsgs[:0]
-		s.foldEpochs = s.foldEpochs[:0]
-		for i := range batch {
-			s.foldMsgs = append(s.foldMsgs, *batch[i].msg)
-			s.foldEpochs = append(s.foldEpochs, batch[i].epoch)
-		}
-	}
-	switch {
-	case s.cluster != nil:
-		_, dropped := s.cluster.ObserveEpochs(s.foldMsgs, s.foldEpochs)
-		if dropped > 0 {
-			// A crashed shard's share of the batch: the sink is up, the
-			// failure domain is one shard wide.
-			s.c.droppedWhileDown.Add(uint64(dropped))
-			delivered -= dropped
-		}
-	case s.pipe != nil:
-		s.pipe.ObserveEpochs(s.foldMsgs, s.foldEpochs)
-	default:
-		for i := range batch {
-			s.tracker.ObserveAt(*batch[i].msg, batch[i].epoch)
-		}
-	}
+	_, dropped := s.engine.Observe(s.foldMsgs, s.foldEpochs)
+	s.c.droppedWhileDown.Add(uint64(dropped))
+	delivered := len(batch) - dropped
 	//pnmlint:allow wallclock ingest latency observability, never reaches verdicts
 	now := time.Now().UnixNano()
 	for i := range batch {
@@ -764,86 +670,29 @@ func (s *Server) fold(batch []item) {
 	s.deliveredCh = make(chan struct{})
 }
 
-// applyChaos executes one fault on the sink goroutine.
+// applyChaos executes one fault on the sink goroutine. Faults are
+// best-effort: crashing what is down, restoring what is up, or naming a
+// shard that does not exist is a no-op.
 func (s *Server) applyChaos(ev ChaosEvent) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	switch ev.Kind {
 	case ChaosSinkCrash:
-		if s.down {
-			return
+		if s.engine.Crash() == nil {
+			s.c.chaosCrashes.Inc()
 		}
-		if s.cluster != nil {
-			// The whole sink goes down: every shard checkpoints to its own
-			// PNM2 blob, and a sealed tracker keeps verdicts readable (and
-			// stale, like the serial sink's) while down.
-			s.shardCkpts = s.cluster.Checkpoint()
-			s.tracker = s.cluster.Seal()
-			s.cluster.Close()
-			s.cluster = nil
-		} else {
-			s.ckpt = s.tracker.Checkpoint()
-			if s.pipe != nil {
-				s.pipe.Close()
-				s.pipe = nil
-			}
-		}
-		s.down = true
-		s.c.chaosCrashes.Inc()
 	case ChaosSinkRestore:
-		if !s.down {
-			return
+		if s.engine.Restore() == nil {
+			s.c.chaosRestores.Inc()
 		}
-		if s.cfg.Shards > 1 {
-			cl, err := sink.RestoreCluster(s.shardCkpts, clusterFactory(s.cfg), s.cfg.Topo, s.cfg.Obs)
-			if err != nil {
-				// A checkpoint we wrote ourselves must restore; treat
-				// failure as an unrecoverable bug, not a runtime condition.
-				panic(fmt.Sprintf("transport: chaos restore: %v", err))
-			}
-			s.cluster = cl
-			s.tracker = nil
-			s.shardCkpts = nil
-		} else {
-			tr, err := sink.RestoreTracker(s.ckpt, s.cfg.NewVerifier(), s.cfg.Topo)
-			if err != nil {
-				panic(fmt.Sprintf("transport: chaos restore: %v", err))
-			}
-			s.tracker = tr
-			if s.cfg.Obs != nil {
-				s.tracker.Instrument(s.cfg.Obs)
-			}
-			if s.cfg.Workers > 1 {
-				s.pipe = newPipeline(s.cfg, s.tracker)
-			}
-		}
-		s.down = false
-		s.c.chaosRestores.Inc()
 	case ChaosShardCrash:
-		if s.cluster == nil || s.down {
-			return // shard faults need a live cluster
+		if s.engine.CrashShard(ev.Shard) == nil {
+			s.c.chaosShardCrashes.Inc()
 		}
-		blob, err := s.cluster.CrashShard(ev.Shard)
-		if err != nil {
-			return // no such shard, or already down: chaos is best-effort
-		}
-		if s.shardCkpts == nil {
-			s.shardCkpts = make([][]byte, s.cfg.Shards)
-		}
-		s.shardCkpts[ev.Shard] = blob
-		s.c.chaosShardCrashes.Inc()
 	case ChaosShardRestore:
-		if s.cluster == nil || s.down {
-			return
+		if s.engine.RestoreShard(ev.Shard) == nil {
+			s.c.chaosShardRsts.Inc()
 		}
-		if ev.Shard < 0 || ev.Shard >= len(s.shardCkpts) || s.shardCkpts[ev.Shard] == nil {
-			return // nothing crashed under that index
-		}
-		if err := s.cluster.RestoreShard(ev.Shard, s.shardCkpts[ev.Shard]); err != nil {
-			panic(fmt.Sprintf("transport: chaos shard restore: %v", err))
-		}
-		s.shardCkpts[ev.Shard] = nil
-		s.c.chaosShardRsts.Inc()
 	}
 }
 
@@ -854,16 +703,13 @@ func (s *Server) Delivered() int {
 	return s.delivered
 }
 
-// Verdict returns the sink's current traceback conclusion. In cluster
-// mode this merges the per-shard order matrices — byte-identical to the
-// serial sink's verdict over the same delivered stream.
+// Verdict returns the sink's current traceback conclusion —
+// byte-identical to the serial sink's verdict over the same delivered
+// stream at any shard or worker count.
 func (s *Server) Verdict() sink.Verdict {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.cluster != nil {
-		return s.cluster.Verdict()
-	}
-	return s.tracker.Verdict()
+	return s.engine.Verdict()
 }
 
 // WaitDelivered blocks until at least want messages have been folded or
@@ -925,14 +771,10 @@ func (s *Server) Close() {
 		if undelivered > 0 {
 			s.c.droppedOnClose.Add(uint64(undelivered))
 		}
+		// Closing the engine seals its state, so Verdict outlives the
+		// engine's workers.
 		s.mu.Lock()
-		if s.cluster != nil {
-			// Seal the merged state so Verdict outlives the shard workers,
-			// then release them.
-			s.tracker = s.cluster.Seal()
-			s.cluster.Close()
-			s.cluster = nil
-		}
+		s.engine.Close()
 		s.mu.Unlock()
 	})
 }
