@@ -6,7 +6,7 @@ GO ?= go
 # GOMAXPROCS. Results are byte-identical for every value.
 WORKERS ?= 0
 
-.PHONY: all build test race vet lint bench bench-resolver bench-sink bench-fault bench-shard bench-scale bench-churn fuzz-smoke soak ci figures examples clean
+.PHONY: all build test race vet lint bench bench-sink bench-fault bench-scale bench-churn fuzz-smoke soak ci figures examples clean
 
 all: build test
 
@@ -40,15 +40,11 @@ lint:
 bench:
 	$(GO) test -bench=. -benchmem .
 
-# Regenerate the committed resolver performance baseline. The counters in
-# the document are deterministic; only the ns_per_packet timings vary with
-# the machine.
-bench-resolver:
-	$(GO) run ./cmd/pnmsim -exp benchresolver > BENCH_resolver.json
-
-# Regenerate the committed MAC-engine / sink-pipeline baseline. The
-# verdict hashes and verdict-visible counters are deterministic; timings
-# vary with the machine.
+# Regenerate the committed sink baseline (E8c): the interleaved
+# multi-source stream through every resolver, serial and at each
+# pipelined width, plus the MAC-engine micro sections. Verdict hashes and
+# resolver/verification counters are deterministic and checked against
+# the serial reference at generation time; timings vary with the machine.
 bench-sink:
 	$(GO) run ./cmd/pnmsim -exp benchsink > BENCH_sink.json
 
@@ -59,21 +55,14 @@ bench-sink:
 bench-fault:
 	$(GO) run ./cmd/pnmsim -exp benchfault > BENCH_fault.json
 
-# Regenerate the committed sharded-sink baseline: cluster widths 1/2/8
-# versus the serial sink over keyed-source streams (10k → 1M distinct
-# reports) plus a single-shard crash/restore scenario. Verdict hashes and
-# verdict-visible counters are deterministic and checked against the
-# unsharded baseline at generation time; timings vary with the machine.
-bench-shard:
-	$(GO) run ./cmd/pnmsim -exp benchshard > BENCH_shard.json
-
-# Regenerate the committed multicore-scaling benchmark (E22): serial vs
-# pipeline workers (W1-W8) vs cluster shards (1/2/8) over the keyed-source
-# workload, with per-row GOMAXPROCS/NumCPU provenance and allocation
-# columns (B/op, allocs/op) bracketing only the observe region. Verdict
-# hashes are checked against the serial baseline at generation time;
-# timings and speedups vary with the machine - read them against the
-# recorded gomaxprocs.
+# Regenerate the committed scaling benchmark (E22): the same harness over
+# keyed-source streams (10k -> 1M distinct reports), serial vs the sink
+# engine at W1-W8 pipelined workers and 2/8 shards, plus a single-shard
+# crash/restore scenario. Rows carry GOMAXPROCS/NumCPU provenance and
+# allocation columns (B/op, allocs/op) bracketing only the observe
+# region; verdict hashes are checked against the serial reference at
+# generation time. Timings vary with the machine - read them against the
+# recorded gomaxprocs. Takes tens of minutes on a 2-core machine.
 bench-scale:
 	$(GO) run ./cmd/pnmsim -exp benchscale > BENCH_scale.json
 

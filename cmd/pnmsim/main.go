@@ -2,13 +2,12 @@
 //
 // Usage:
 //
-//	pnmsim -exp fig4|fig5|fig6|fig7|matrix|headline|ablate|resolve|benchresolver|benchsink|benchfault|benchshard|benchscale|benchchurn|filter [flags]
+//	pnmsim -exp fig4|fig5|fig6|fig7|matrix|headline|ablate|resolve|benchsink|benchfault|benchscale|benchchurn|filter [flags]
 //
 // Output is CSV for the figure experiments (pipe into a plotter), an
-// aligned text table for the tabular ones, or JSON for benchresolver,
-// benchsink, benchfault, benchshard, benchscale and benchchurn (redirect
-// into BENCH_resolver.json / BENCH_sink.json / BENCH_fault.json /
-// BENCH_shard.json / BENCH_scale.json / BENCH_churn.json). -plot renders
+// aligned text table for the tabular ones, or JSON for benchsink,
+// benchfault, benchscale and benchchurn (redirect into BENCH_sink.json /
+// BENCH_fault.json / BENCH_scale.json / BENCH_churn.json). -plot renders
 // a crude ASCII plot instead of CSV. -stats dumps the sink chain's obs counters to stderr
 // after instrumented experiments (resolve).
 //
@@ -42,7 +41,7 @@ func main() {
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("pnmsim", flag.ContinueOnError)
 	var (
-		exp     = fs.String("exp", "fig4", "experiment: fig4, fig5, fig6, fig7, matrix, headline, ablate, resolve, benchresolver, benchsink, benchfault, benchshard, benchscale, benchchurn, filter, related, precision, overhead, multisource, background, dynamics, molepos")
+		exp     = fs.String("exp", "fig4", "experiment: fig4, fig5, fig6, fig7, matrix, headline, ablate, resolve, benchsink, benchfault, benchscale, benchchurn, filter, related, precision, overhead, multisource, background, dynamics, molepos")
 		runs    = fs.Int("runs", 0, "override the run count (0 = experiment default)")
 		seed    = fs.Int64("seed", 0, "override the RNG seed (0 = experiment default)")
 		workers = fs.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines for run-parallel experiments (<= 0 = GOMAXPROCS); results are identical for every value")
@@ -138,40 +137,25 @@ func run(args []string, w io.Writer) error {
 			reg.Fprint(os.Stderr)
 		}
 		return nil
-	case "benchresolver":
-		// Serial for the same reason as resolve: the rows report wall-clock
-		// nanoseconds per packet.
-		cfg := experiment.DefaultResolverBench()
+	case "benchsink", "benchscale":
+		// One harness, two committed configs (E8c, E22): the interleaved
+		// stream through every resolver, or the keyed 10k-1M source sweep
+		// plus a shard crash/restore scenario, each folded by the serial
+		// tracker and every sink engine shape. Every row's verdict hash is
+		// checked against the serial reference at generation time. Rows run
+		// one at a time: they report wall time.
+		cfg := experiment.DefaultSinkBench()
+		if *exp == "benchscale" {
+			cfg = experiment.DefaultScaleBench()
+		}
 		if *seed != 0 {
 			cfg.Seed = *seed
-		}
-		res, err := experiment.ResolverBench(cfg)
-		if err != nil {
-			return err
-		}
-		doc, err := experiment.RenderResolverBench(res)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, doc)
-		return nil
-	case "benchsink":
-		// The macro rows time a serial tracker against the worker pipeline;
-		// only the pipeline itself is concurrent.
-		cfg := experiment.DefaultSinkBench()
-		if *seed != 0 {
-			cfg.Stream.Seed = *seed
 		}
 		res, err := experiment.SinkBench(cfg)
 		if err != nil {
 			return err
 		}
-		doc, err := experiment.RenderSinkBench(res)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, doc)
-		return nil
+		return emitJSON(w, res)
 	case "benchfault":
 		// Traceback convergence under deterministic fault plans in the
 		// live simulator (E20); verdict equality with the fault-free
@@ -185,32 +169,7 @@ func run(args []string, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		doc, err := experiment.RenderFaultBench(res)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, doc)
-		return nil
-	case "benchshard":
-		// Sharded sink cluster versus the serial baseline over keyed-source
-		// streams (10k → 1M distinct reports) plus a single-shard
-		// crash/restore scenario; verdict-hash equality with the unsharded
-		// baseline is enforced at generation time, so the committed
-		// document can never contain a diverging shard count.
-		cfg := experiment.DefaultShardBench()
-		if *seed != 0 {
-			cfg.Seed = *seed
-		}
-		res, err := experiment.ShardBench(cfg)
-		if err != nil {
-			return err
-		}
-		doc, err := experiment.RenderShardBench(res)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, doc)
-		return nil
+		return emitJSON(w, res)
 	case "benchchurn":
 		// Traceback under topology churn with epoch-versioned resolution
 		// (E23): packets-to-catch and reconstruction cost per churn level,
@@ -225,31 +184,7 @@ func run(args []string, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		doc, err := experiment.RenderChurnBench(res)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, doc)
-		return nil
-	case "benchscale":
-		// Multicore scaling truth (E22): serial vs pipeline workers vs
-		// cluster shards over the keyed-source workload, with per-row
-		// GOMAXPROCS/NumCPU and allocation columns; verdict-hash equality
-		// with the serial baseline is enforced at generation time.
-		cfg := experiment.DefaultScaleBench()
-		if *seed != 0 {
-			cfg.Seed = *seed
-		}
-		res, err := experiment.ScaleBench(cfg)
-		if err != nil {
-			return err
-		}
-		doc, err := experiment.RenderScaleBench(res)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, doc)
-		return nil
+		return emitJSON(w, res)
 	case "filter":
 		cfg := experiment.DefaultFilterCompare()
 		cfg.Workers = *workers
@@ -356,5 +291,15 @@ func emitSeries(w io.Writer, xLabel string, series []stats.Series, plot bool) er
 		return nil
 	}
 	fmt.Fprint(w, stats.CSV(xLabel, series...))
+	return nil
+}
+
+// emitJSON prints a bench result as its committed JSON document.
+func emitJSON(w io.Writer, res any) error {
+	doc, err := experiment.RenderJSON(res)
+	if err != nil {
+		return err
+	}
+	fmt.Fprint(w, doc)
 	return nil
 }
