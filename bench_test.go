@@ -14,6 +14,7 @@ import (
 	"pnm/internal/experiment"
 	"pnm/internal/mac"
 	"pnm/internal/marking"
+	"pnm/internal/obs"
 	"pnm/internal/packet"
 	"pnm/internal/sink"
 	"pnm/internal/topology"
@@ -284,6 +285,29 @@ func BenchmarkResolveExhaustive(b *testing.B) {
 // BenchmarkResolveTopology is the O(d) ring-expanding counterpart.
 func BenchmarkResolveTopology(b *testing.B) {
 	benchResolve(b, true)
+}
+
+// BenchmarkResolveTopologyParallel runs BenchmarkResolveTopology's
+// verification on every GOMAXPROCS goroutine at once, one verifier per
+// goroutine, all instrumented into one shared registry the way the
+// shards of a sink cluster are. Counters written once per probe would
+// make the goroutines contend on the same cache lines; the serial,
+// uninstrumented benchmark cannot show that cost.
+func BenchmarkResolveTopologyParallel(b *testing.B) {
+	topo, keys, scheme, msgs := benchNet(b, 1024)
+	reg := obs.New()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		v, err := sink.NewVerifier(scheme, keys, topo.NumNodes(), sink.NewTopologyResolver(keys, topo))
+		if err != nil {
+			b.Error(err)
+			return
+		}
+		v.(sink.Instrumentable).Instrument(reg)
+		for i := 0; pb.Next(); i++ {
+			v.Verify(msgs[i%len(msgs)])
+		}
+	})
 }
 
 // benchResolve runs packet verification under the chosen resolver.

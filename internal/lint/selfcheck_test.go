@@ -161,8 +161,11 @@ func TestNoallocHotPathsAnnotated(t *testing.T) {
 	for _, want := range []string{
 		"pnm/internal/mac.Schedule.Sum",
 		"pnm/internal/mac.Schedule.AnonID",
+		"pnm/internal/mac.Schedule.AnonIDInput",
 		"pnm/internal/mac.Schedule.finish",
+		"pnm/internal/mac.AnonInput.SetReport",
 		"pnm/internal/mac.Hasher.Schedule",
+		"pnm/internal/mac.Hasher.Lookup",
 		"pnm/internal/mac.Hasher.Sum",
 		"pnm/internal/mac.Hasher.AnonID",
 		"pnm/internal/marking.NestedMACPlainSched",
@@ -172,6 +175,7 @@ func TestNoallocHotPathsAnnotated(t *testing.T) {
 		"pnm/internal/sink.NestedVerifier.resolveProbe",
 		"pnm/internal/sink.NestedVerifier.Verify",
 		"pnm/internal/sink.NestedVerifier.VerifyAt",
+		"pnm/internal/sink.TopologyResolver.Resolve",
 		"pnm/internal/sink.Order.addEdge",
 		"pnm/internal/sink.AMSVerifier.Verify",
 		"pnm/internal/sink.PPMVerifier.Verify",

@@ -5,6 +5,7 @@ import (
 	"encoding"
 	"fmt"
 	"hash"
+	"math"
 
 	"pnm/internal/obs"
 	"pnm/internal/packet"
@@ -34,14 +35,53 @@ type marshalingHash interface {
 // compressions; outputs are bit-identical to the package-level Sum and
 // AnonID for the same key.
 //
-// pnmlint:single-goroutine — the reusable digests and buffers are
-// unsynchronized mutable state; one goroutine owns a schedule for its
-// lifetime. Hand each worker its own via KeyStore.Hasher.
+// The reusable digests and buffers live in a scratch set the schedule
+// points to. Every schedule a Hasher hands out shares that Hasher's one
+// scratch, so a cached schedule costs its two marshaled states and a
+// pointer, not two digests of its own; NewSchedule builds a private
+// scratch. Each call restores both states before hashing, so schedules
+// sharing a scratch never see each other's data.
+//
+// pnmlint:single-goroutine — the scratch is unsynchronized mutable state;
+// one goroutine owns a schedule (and every schedule sharing its scratch)
+// for its lifetime. Hand each worker its own via KeyStore.Hasher.
 type Schedule struct {
-	inner, outer []byte // marshaled pad-absorbed SHA-256 states
-	ih, oh       marshalingHash
-	buf          []byte // reusable digest output, cap sha256.Size
-	enc          []byte // reusable AnonID input buffer
+	schedCore
+	sc *scratch
+}
+
+// scratch is the mutable working set a Schedule hashes through: the two
+// digests the marshaled states are restored into, the digest output
+// buffer and the anonymous-ID input buffer.
+type scratch struct {
+	ih, oh marshalingHash
+	buf    []byte // reusable digest output, cap sha256.Size
+	enc    AnonInput
+}
+
+func newScratch() *scratch {
+	return &scratch{
+		ih:  sha256.New().(marshalingHash),
+		oh:  sha256.New().(marshalingHash),
+		buf: make([]byte, 0, sha256.Size),
+	}
+}
+
+// anonInputLen is the length of the anonymous-ID hash input
+// anonDomain | M | i.
+const anonInputLen = len(anonDomain) + packet.ReportLen + 2
+
+// AnonInput is the anonymous-ID hash input anonDomain | M | i for one
+// report M. A resolver that probes many nodes against one report encodes
+// M once with SetReport; each probe (Schedule.AnonIDInput) then writes
+// only the 2-byte i.
+type AnonInput [anonInputLen]byte
+
+// SetReport encodes report as the input's M.
+// pnmlint:noalloc
+func (in *AnonInput) SetReport(report packet.Report) {
+	copy(in[:], anonDomain)
+	report.Encode(in[len(anonDomain):len(anonDomain)])
 }
 
 // schedCore is the immutable, shareable half of a key schedule: the two
@@ -78,25 +118,13 @@ func newSchedCore(k Key) schedCore {
 	return schedCore{inner: inner, outer: outer}
 }
 
-// newScheduleFromCore wraps a shared core in fresh single-goroutine
-// scratch (digests and buffers) — no pad compressions, no hashing.
-func newScheduleFromCore(c schedCore) *Schedule {
-	return &Schedule{
-		inner: c.inner,
-		outer: c.outer,
-		ih:    sha256.New().(marshalingHash),
-		oh:    sha256.New().(marshalingHash),
-		buf:   make([]byte, 0, sha256.Size),
-		enc:   make([]byte, 0, len(anonDomain)+packet.ReportLen+2),
-	}
-}
-
-// NewSchedule precomputes the key schedule for k. This is the only
-// allocating step; amortize it by caching schedules per key (see Hasher,
-// which additionally shares the pad-absorbed cores across goroutines via
-// the KeyStore).
+// NewSchedule precomputes the key schedule for k, with a private
+// scratch. This is the only allocating step; amortize it by caching
+// schedules per key (see Hasher, which additionally shares the
+// pad-absorbed cores across goroutines via the KeyStore and one scratch
+// across its schedules).
 func NewSchedule(k Key) *Schedule {
-	return newScheduleFromCore(newSchedCore(k))
+	return &Schedule{schedCore: newSchedCore(k), sc: newScratch()}
 }
 
 // scheduleCore returns the store-wide shared core for id's key, building
@@ -149,8 +177,8 @@ func (ks *KeyStore) CoreBuilds() uint64 {
 // package-level Sum for the schedule's key, with zero allocations.
 // pnmlint:noalloc
 func (s *Schedule) Sum(data []byte) [packet.MACLen]byte {
-	_ = s.ih.UnmarshalBinary(s.inner)
-	s.ih.Write(data)
+	_ = s.sc.ih.UnmarshalBinary(s.inner)
+	s.sc.ih.Write(data)
 	var out [packet.MACLen]byte
 	copy(out[:], s.finish())
 	return out
@@ -161,11 +189,19 @@ func (s *Schedule) Sum(data []byte) [packet.MACLen]byte {
 // zero allocations.
 // pnmlint:noalloc
 func (s *Schedule) AnonID(report packet.Report, id packet.NodeID) [packet.AnonIDLen]byte {
-	_ = s.ih.UnmarshalBinary(s.inner)
-	s.enc = append(s.enc[:0], anonDomain...)
-	s.enc = report.Encode(s.enc)
-	s.enc = append(s.enc, byte(id>>8), byte(id))
-	s.ih.Write(s.enc)
+	s.sc.enc.SetReport(report)
+	return s.AnonIDInput(&s.sc.enc, id)
+}
+
+// AnonIDInput computes node id's anonymous ID over in, whose report M
+// SetReport has already encoded: it writes id into in and hashes the
+// whole input. It is the one anonymous-ID kernel every schedule-backed
+// path runs.
+// pnmlint:noalloc
+func (s *Schedule) AnonIDInput(in *AnonInput, id packet.NodeID) [packet.AnonIDLen]byte {
+	in[anonInputLen-2], in[anonInputLen-1] = byte(id>>8), byte(id)
+	_ = s.sc.ih.UnmarshalBinary(s.inner)
+	s.sc.ih.Write(in[:])
 	var out [packet.AnonIDLen]byte
 	copy(out[:], s.finish())
 	return out
@@ -173,14 +209,15 @@ func (s *Schedule) AnonID(report packet.Report, id packet.NodeID) [packet.AnonID
 
 // finish completes the HMAC: finalize the inner digest, then hash its
 // output under the restored outer state. The returned slice aliases the
-// schedule's reusable buffer and is valid until the next call.
+// scratch's reusable buffer and is valid until the next call.
 // pnmlint:noalloc
 func (s *Schedule) finish() []byte {
-	s.buf = s.ih.Sum(s.buf[:0])
-	_ = s.oh.UnmarshalBinary(s.outer)
-	s.oh.Write(s.buf)
-	s.buf = s.oh.Sum(s.buf[:0])
-	return s.buf
+	sc := s.sc
+	sc.buf = sc.ih.Sum(sc.buf[:0])
+	_ = sc.oh.UnmarshalBinary(s.outer)
+	sc.oh.Write(sc.buf)
+	sc.buf = sc.oh.Sum(sc.buf[:0])
+	return sc.buf
 }
 
 // Hasher is a goroutine-local cache of per-node key schedules over a
@@ -189,14 +226,18 @@ func (s *Schedule) finish() []byte {
 // pipeline worker, a cluster shard, a resolver) holds its own Hasher. A
 // local miss fetches the node's shared pad-absorbed core from the store
 // (built at most once per node store-wide, whatever the worker count)
-// and wraps it in private scratch, so per-goroutine warmup costs two
-// digest constructions instead of two SHA-256 pad compressions.
+// and points it at the Hasher's one scratch, so per-goroutine warmup
+// costs one small allocation per node instead of two SHA-256 pad
+// compressions.
 //
-// pnmlint:single-goroutine — the schedule map and the schedules themselves
-// are unsynchronized; one goroutine owns a Hasher for its lifetime.
+// pnmlint:single-goroutine — the schedule slice, the schedules and their
+// shared scratch are unsynchronized; one goroutine owns a Hasher for its
+// lifetime.
 type Hasher struct {
-	ks        *KeyStore
-	schedules map[packet.NodeID]*Schedule
+	ks *KeyStore
+	// schedules is indexed by NodeID; nil marks a node not yet cached.
+	schedules []*Schedule
+	sc        *scratch
 	epoch     uint64 // KeyStore schedule epoch the cache was filled under
 
 	// obs bindings; nil (no-op) unless Instrument was called.
@@ -208,7 +249,7 @@ type Hasher struct {
 // Hasher returns a new, empty schedule cache over the store's keys. Each
 // goroutine must take its own.
 func (ks *KeyStore) Hasher() *Hasher {
-	return &Hasher{ks: ks, schedules: make(map[packet.NodeID]*Schedule)}
+	return &Hasher{ks: ks, sc: newScratch()}
 }
 
 // Instrument binds the cache's counters (mac.schedule.hits / .misses /
@@ -220,17 +261,41 @@ func (h *Hasher) Instrument(reg *obs.Registry) {
 }
 
 // Schedule returns node id's cached key schedule, building it around the
-// store's shared core on first use. The hot path is one local map hit —
-// no lock, no allocation; the miss path's allocations are the callees'
-// (newScheduleFromCore), outside this body. A store epoch bump
-// (InvalidateSchedules) is noticed here, on the miss path, and drops the
-// local cache wholesale.
+// store's shared core on first use, and counts the hit or miss. The hot
+// path is one slice index — no lock, no allocation.
 // pnmlint:noalloc
 func (h *Hasher) Schedule(id packet.NodeID) *Schedule {
-	if s, ok := h.schedules[id]; ok {
+	s, hit := h.Lookup(id)
+	if hit {
 		h.hits.Inc()
-		return s
 	}
+	return s
+}
+
+// Lookup is Schedule without the hit count: it reports whether the
+// lookup hit, so a hot loop can tally its hits locally and publish them
+// with one AddHits per call instead of one shared atomic add per lookup.
+// Misses are counted as Schedule counts them.
+// pnmlint:noalloc
+func (h *Hasher) Lookup(id packet.NodeID) (*Schedule, bool) {
+	if int(id) < len(h.schedules) {
+		if s := h.schedules[id]; s != nil {
+			return s, true
+		}
+	}
+	return h.miss(id), false
+}
+
+// AddHits publishes n schedule hits a caller tallied from Lookup.
+func (h *Hasher) AddHits(n uint64) { h.hits.Add(n) }
+
+// miss builds and caches node id's schedule. A store epoch bump
+// (InvalidateSchedules) is noticed here and drops the local cache
+// wholesale. It stays out of line so its allocations never count against
+// the noalloc lookup.
+//
+//go:noinline
+func (h *Hasher) miss(id packet.NodeID) *Schedule {
 	h.misses.Inc()
 	core, epoch, built := h.ks.scheduleCore(id)
 	if built {
@@ -242,7 +307,12 @@ func (h *Hasher) Schedule(id packet.NodeID) *Schedule {
 		clear(h.schedules)
 		h.epoch = epoch
 	}
-	s := newScheduleFromCore(core)
+	if int(id) >= len(h.schedules) {
+		grown := make([]*Schedule, min(max(int(id)+1, 2*len(h.schedules)), math.MaxUint16+1))
+		copy(grown, h.schedules)
+		h.schedules = grown
+	}
+	s := &Schedule{schedCore: core, sc: h.sc}
 	h.schedules[id] = s
 	return s
 }

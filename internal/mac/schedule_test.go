@@ -72,6 +72,16 @@ func TestScheduleZeroAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(200, func() { s.AnonID(report, 1) }); n != 0 {
 		t.Errorf("Schedule.AnonID allocates %.1f/op, want 0", n)
 	}
+	var in AnonInput
+	in.SetReport(report)
+	if n := testing.AllocsPerRun(200, func() { s.AnonIDInput(&in, 1) }); n != 0 {
+		t.Errorf("Schedule.AnonIDInput allocates %.1f/op, want 0", n)
+	}
+	h := ks.Hasher()
+	h.Schedule(1)
+	if n := testing.AllocsPerRun(200, func() { h.AnonID(1, report) }); n != 0 {
+		t.Errorf("Hasher.AnonID on a cached schedule allocates %.1f/op, want 0", n)
+	}
 }
 
 // TestHasherCachesSchedules verifies the per-goroutine cache hands back
@@ -103,6 +113,60 @@ func TestHasherCachesSchedules(t *testing.T) {
 	if got, want := h.AnonID(7, report), AnonID(ks.Key(7), report, 7); got != want {
 		t.Errorf("Hasher.AnonID = %x, want %x", got, want)
 	}
+}
+
+// TestSharedScratchDoesNotAlias interleaves Sum and AnonID calls across
+// several schedules of one Hasher (which share one scratch), a
+// standalone NewSchedule and the Hasher's own forms: every output must
+// equal the cold functions. After InvalidateSchedules the dense cache
+// serves rebuilt schedules that still agree.
+func TestSharedScratchDoesNotAlias(t *testing.T) {
+	ks := NewKeyStore([]byte("shared-scratch"))
+	h := ks.Hasher()
+	ids := []packet.NodeID{3, 700, 1, 64, 2048}
+	lone := NewSchedule(ks.Key(9))
+	rng := rand.New(rand.NewSource(11))
+	check := func(round int) {
+		for i := 0; i < 200; i++ {
+			id := ids[rng.Intn(len(ids))]
+			data := make([]byte, rng.Intn(100))
+			rng.Read(data)
+			report := packet.Report{Event: rng.Uint32(), Seq: uint32(i)}
+			k := ks.Key(id)
+			s := h.Schedule(id)
+			if got, want := s.Sum(data), Sum(k, data); got != want {
+				t.Fatalf("round %d: schedule %d Sum = %x, want %x", round, id, got, want)
+			}
+			if got, want := lone.AnonID(report, 9), AnonID(ks.Key(9), report, 9); got != want {
+				t.Fatalf("round %d: standalone AnonID = %x, want %x", round, got, want)
+			}
+			if got, want := h.AnonID(id, report), AnonID(k, report, id); got != want {
+				t.Fatalf("round %d: Hasher.AnonID(%d) = %x, want %x", round, id, got, want)
+			}
+			var in AnonInput
+			in.SetReport(report)
+			other := ids[rng.Intn(len(ids))]
+			if got, want := h.Schedule(other).AnonIDInput(&in, other), AnonID(ks.Key(other), report, other); got != want {
+				t.Fatalf("round %d: AnonIDInput(%d) = %x, want %x", round, other, got, want)
+			}
+			if got, want := s.AnonID(report, id), AnonID(k, report, id); got != want {
+				t.Fatalf("round %d: schedule %d AnonID = %x, want %x", round, id, got, want)
+			}
+			if got, want := h.Sum(id, data), Sum(k, data); got != want {
+				t.Fatalf("round %d: Hasher.Sum(%d) = %x, want %x", round, id, got, want)
+			}
+		}
+	}
+	check(0)
+	before := h.Schedule(700)
+	ks.InvalidateSchedules()
+	// The next miss notices the new epoch and drops the cache, so even
+	// node 700, cached before, is rebuilt around a fresh core.
+	h.Schedule(5)
+	if after := h.Schedule(700); after == before {
+		t.Fatal("schedule 700 survived InvalidateSchedules")
+	}
+	check(1)
 }
 
 // benchData is a representative nested-MAC input: a report plus a few

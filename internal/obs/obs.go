@@ -14,6 +14,12 @@
 // nil check and nothing else. Counters and histograms use atomic adds and
 // may be shared across goroutines even though the objects they instrument
 // (tracker, resolvers) are single-goroutine.
+//
+// Because instrumented objects on different goroutines share counters, an
+// atomic add in an inner loop is a contended cache line. Hot loops count
+// in a local variable and publish with one Add per call — the topology
+// resolver adds its node visits and schedule hits once per Resolve — so a
+// counter holds its exact value whenever the instrumented call returns.
 package obs
 
 import (

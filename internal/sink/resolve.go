@@ -71,7 +71,8 @@ type ExhaustiveResolver struct {
 	keys   *mac.KeyStore
 	nodes  []packet.NodeID
 	hasher *mac.Hasher
-	anonID anonIDFunc // test seam; nil selects the schedule-backed engine
+	anonID anonIDFunc    // test seam; nil selects the schedule-backed engine
+	in     mac.AnonInput // the report a table build is hashing
 
 	// cache holds the most recently used tables, most recent first.
 	cache    []tableEntry
@@ -156,18 +157,20 @@ func (r *ExhaustiveResolver) lookup(report packet.Report) map[[packet.AnonIDLen]
 
 // buildTable computes the full anonymous-ID table for one report — the
 // operation whose feasibility §4.2 argues from hash throughput. It is
-// O(n) HMACs per report, so it runs on the cached key schedules: after
-// the first build has populated the hasher, each entry costs two SHA-256
-// state restores and no allocation beyond the table itself.
+// O(n) HMACs per report, so it runs on the cached key schedules with the
+// report encoded once: after the first build has populated the hasher,
+// each entry costs two SHA-256 state restores and no allocation beyond
+// the table itself.
 func (r *ExhaustiveResolver) buildTable(report packet.Report) map[[packet.AnonIDLen]byte][]packet.NodeID {
 	r.tableBuilds.Inc()
 	table := make(map[[packet.AnonIDLen]byte][]packet.NodeID, len(r.nodes))
+	r.in.SetReport(report)
 	for _, id := range r.nodes {
 		var a [packet.AnonIDLen]byte
 		if r.anonID != nil {
 			a = r.anonID(r.keys.Key(id), report, id)
 		} else {
-			a = r.hasher.AnonID(id, report)
+			a = r.hasher.Schedule(id).AnonIDInput(&r.in, id)
 		}
 		table[a] = append(table[a], id)
 	}
@@ -207,14 +210,14 @@ type TopologyResolver struct {
 	epochs *topology.EpochSet
 	hasher *mac.Hasher
 	anonID anonIDFunc // test seam; nil selects the schedule-backed engine
-	// children is the downlink adjacency of the epoch named by
-	// curVersion; trees holds one adjacency per epoch seen so far, built
-	// lazily and cached forever (epochs are immutable, and their count is
-	// bounded by the churn events of a run). Epoch 0 is prebuilt, so a
-	// static network never touches the cache.
-	children   map[packet.NodeID][]packet.NodeID
-	curVersion topology.EpochVersion
-	trees      map[topology.EpochVersion]map[packet.NodeID][]packet.NodeID
+	// in is the anonymous-ID input of the report being resolved: encoded
+	// once per Resolve, so each probe writes only its node ID.
+	in mac.AnonInput
+	// trees holds one downlink adjacency per epoch, indexed by version,
+	// built lazily and cached forever (epochs are immutable, and their
+	// count is bounded by the churn events of a run); nil marks an epoch
+	// not yet built.
+	trees []*childTree
 	// frontier/next are the BFS level buffers, reused across Resolve
 	// calls so a steady-state resolution allocates nothing. Safe only
 	// because the type is single-goroutine (see above).
@@ -224,6 +227,22 @@ type TopologyResolver struct {
 	// obs bindings; nil (no-op) unless Instrument was called.
 	probes     *obs.Counter
 	candidates *obs.Counter
+}
+
+// childTree is one epoch's downlink adjacency in compressed sparse row
+// form: node v's children are kids[start[v]:start[v+1]], in ID order.
+type childTree struct {
+	start []int32
+	kids  []packet.NodeID
+}
+
+// of returns node v's children; the slice is shared, read-only state. An
+// ID outside the epoch's network has none.
+func (t *childTree) of(v packet.NodeID) []packet.NodeID {
+	if int(v)+1 >= len(t.start) {
+		return nil
+	}
+	return t.kids[t.start[v]:t.start[v+1]]
 }
 
 // NewTopologyResolver returns a resolver that exploits the known topology.
@@ -239,35 +258,55 @@ func NewTopologyResolver(keys *mac.KeyStore, topo *topology.Network) *TopologyRe
 // The set may keep growing (the fault machinery appends on every route
 // repair) while resolvers read it from their own goroutines.
 func NewTopologyResolverEpochs(keys *mac.KeyStore, epochs *topology.EpochSet) *TopologyResolver {
-	r := &TopologyResolver{
-		keys:   keys,
-		epochs: epochs,
-		hasher: keys.Hasher(),
-		trees:  make(map[topology.EpochVersion]map[packet.NodeID][]packet.NodeID),
-	}
-	r.children = r.treeFor(0)
+	r := &TopologyResolver{keys: keys, epochs: epochs, hasher: keys.Hasher()}
+	r.buildTree(0)
 	return r
 }
 
-// treeFor returns the downlink adjacency of epoch v, building and caching
-// it on first use. Orphaned nodes (depth -1 after a partition-causing
-// fault) are excluded: they have no forwarding parent in that epoch, so
-// no mark can originate downstream of them.
-func (r *TopologyResolver) treeFor(v topology.EpochVersion) map[packet.NodeID][]packet.NodeID {
-	if ch, ok := r.trees[v]; ok {
-		return ch
+// tree returns the downlink adjacency of epoch v.
+func (r *TopologyResolver) tree(v topology.EpochVersion) *childTree {
+	if v < topology.EpochVersion(len(r.trees)) && r.trees[v] != nil {
+		return r.trees[v]
+	}
+	return r.buildTree(v)
+}
+
+// buildTree builds and caches the adjacency of epoch v. A version the
+// set does not hold yet (possible only through a corrupted stamp) is
+// served the newest epoch's tree, as EpochSet.At clamps it, and cached
+// under that epoch's own version. Orphaned nodes (depth -1 after a
+// partition-causing fault) are excluded: they have no forwarding parent
+// in that epoch, so no mark can originate downstream of them.
+func (r *TopologyResolver) buildTree(v topology.EpochVersion) *childTree {
+	if n := topology.EpochVersion(r.epochs.Len()); v >= n {
+		return r.tree(n - 1)
 	}
 	net := r.epochs.At(v)
-	children := make(map[packet.NodeID][]packet.NodeID, net.NumNodes())
-	for _, id := range net.Nodes() {
-		if !net.HasRoute(id) {
-			continue
+	nodes := net.Nodes()
+	t := &childTree{start: make([]int32, len(nodes)+2)}
+	for _, id := range nodes {
+		if net.HasRoute(id) {
+			t.start[int(net.Parent(id))+1]++
 		}
-		parent := net.Parent(id)
-		children[parent] = append(children[parent], id)
 	}
-	r.trees[v] = children
-	return children
+	for i := 1; i < len(t.start); i++ {
+		t.start[i] += t.start[i-1]
+	}
+	t.kids = make([]packet.NodeID, t.start[len(t.start)-1])
+	fill := make([]int32, len(nodes)+1)
+	copy(fill, t.start)
+	for _, id := range nodes {
+		if net.HasRoute(id) {
+			p := net.Parent(id)
+			t.kids[fill[p]] = id
+			fill[p]++
+		}
+	}
+	for int(v) >= len(r.trees) {
+		r.trees = append(r.trees, nil)
+	}
+	r.trees[v] = t
+	return t
 }
 
 // Instrument binds the resolver's counters into reg.
@@ -277,42 +316,48 @@ func (r *TopologyResolver) Instrument(reg *obs.Registry) {
 	r.hasher.Instrument(reg)
 }
 
-// Resolve implements Resolver.
+// Resolve implements Resolver. Node visits and schedule hits are counted
+// in locals and published with one add each before returning, early
+// accept included: shards sharing a registry would otherwise contend on
+// the same two counters once per probe.
+// pnmlint:noalloc
 func (r *TopologyResolver) Resolve(report packet.Report, anon [packet.AnonIDLen]byte, prev packet.NodeID, havePrev bool, epoch topology.EpochVersion, yield func(packet.NodeID) bool) {
-	if epoch != r.curVersion {
-		// Swap in the routing tree of the packet's arrival epoch. Sink
-		// batches arrive roughly in epoch order, so this is a cached-map
-		// hit on all but the first packet after a topology change.
-		r.children = r.treeFor(epoch)
-		r.curVersion = epoch
-	}
+	// The routing tree of the packet's arrival epoch, built by the first
+	// packet resolved under that epoch.
+	tree := r.tree(epoch)
 	start := prev
 	if !havePrev {
 		// The most downstream mark: search the whole routing tree outward
 		// from the sink; the marker usually sits within ~1/p hops.
 		start = packet.SinkID
 	}
+	r.in.SetReport(report)
 	// BFS through the routing subtree of start, streaming matches in
 	// depth order. The expansion continues past levels whose matches the
 	// caller rejects — see the type comment on collision robustness. The
 	// two level buffers live on the resolver and are reused across calls
 	// (their capacities converge on the widest level, after which a
 	// resolution allocates nothing); they are swapped between iterations,
-	// so the initial frontier must be a copy: children's slices are
+	// so the initial frontier must be a copy: the tree's slices are
 	// shared state. Both headers are stored back before returning — even
 	// on early accept — so growth is never lost.
-	frontier := append(r.frontier[:0], r.children[start]...)
+	frontier := append(r.frontier[:0], tree.of(start)...)
 	next := r.next[:0]
+	var visits, hits uint64
 	done := false
 	for len(frontier) > 0 && !done {
 		next = next[:0]
 		for _, v := range frontier {
-			r.probes.Inc()
+			visits++
 			var a [packet.AnonIDLen]byte
 			if r.anonID != nil {
 				a = r.anonID(r.keys.Key(v), report, v)
 			} else {
-				a = r.hasher.AnonID(v, report)
+				s, hit := r.hasher.Lookup(v)
+				if hit {
+					hits++
+				}
+				a = s.AnonIDInput(&r.in, v)
 			}
 			if a == anon {
 				r.candidates.Inc()
@@ -321,9 +366,11 @@ func (r *TopologyResolver) Resolve(report packet.Report, anon [packet.AnonIDLen]
 					break
 				}
 			}
-			next = append(next, r.children[v]...)
+			next = append(next, tree.of(v)...)
 		}
 		frontier, next = next, frontier
 	}
 	r.frontier, r.next = frontier, next
+	r.probes.Add(visits)
+	r.hasher.AddHits(hits)
 }
