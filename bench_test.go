@@ -177,6 +177,13 @@ func BenchmarkFilterCompare(b *testing.B) {
 // batch for the sink-side micro benches.
 func benchNet(b *testing.B, nodes int) (*topology.Network, *mac.KeyStore, marking.Scheme, []packet.Message) {
 	b.Helper()
+	return benchNetClaiming(b, nodes, false)
+}
+
+// benchNetClaiming is benchNet; with honestL set, each report claims the
+// source as its location L instead of the sink.
+func benchNetClaiming(b *testing.B, nodes int, honestL bool) (*topology.Network, *mac.KeyStore, marking.Scheme, []packet.Message) {
+	b.Helper()
 	side := 1.0
 	for side*side*8 < float64(nodes) {
 		side *= 1.1
@@ -195,6 +202,9 @@ func benchNet(b *testing.B, nodes int) (*topology.Network, *mac.KeyStore, markin
 	msgs := make([]packet.Message, 64)
 	for i := range msgs {
 		msg := packet.Message{Report: packet.Report{Event: 0xB, Seq: uint32(i + 1)}}
+		if honestL {
+			msg.Report.Location = uint32(src)
+		}
 		for _, hop := range topo.Forwarders(src) {
 			msg = scheme.Mark(hop, keys.Key(hop), msg, rng)
 		}
@@ -287,6 +297,15 @@ func BenchmarkResolveTopology(b *testing.B) {
 	benchResolve(b, true)
 }
 
+// BenchmarkResolveTopologyRoute is BenchmarkResolveTopology with reports
+// that claim their true source as L, so the route pass walks the
+// markers' own route before the BFS. BenchmarkResolveTopology's reports
+// claim the sink, which skips the route pass: it measures the fallback.
+func BenchmarkResolveTopologyRoute(b *testing.B) {
+	topo, keys, scheme, msgs := benchNetClaiming(b, 1024, true)
+	verifyAll(b, topo, keys, scheme, msgs, sink.NewTopologyResolver(keys, topo))
+}
+
 // BenchmarkResolveTopologyParallel runs BenchmarkResolveTopology's
 // verification on every GOMAXPROCS goroutine at once, one verifier per
 // goroutine, all instrumented into one shared registry the way the
@@ -319,6 +338,12 @@ func benchResolve(b *testing.B, topoResolver bool) {
 	} else {
 		r = sink.NewExhaustiveResolver(keys, topo.Nodes())
 	}
+	verifyAll(b, topo, keys, scheme, msgs, r)
+}
+
+// verifyAll times verifying msgs round-robin under resolver r.
+func verifyAll(b *testing.B, topo *topology.Network, keys *mac.KeyStore, scheme marking.Scheme, msgs []packet.Message, r sink.Resolver) {
+	b.Helper()
 	v, err := sink.NewVerifier(scheme, keys, topo.NumNodes(), r)
 	if err != nil {
 		b.Fatal(err)

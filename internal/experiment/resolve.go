@@ -77,9 +77,11 @@ func ResolveComparison(cfg ResolveConfig) ([]ResolveRow, error) {
 		rng := rand.New(rand.NewSource(cfg.Seed))
 
 		// Pre-generate marked packets once; verify with both resolvers.
+		// Each report names its true source as L, as an honest sensor's
+		// does.
 		msgs := make([]packet.Message, cfg.Packets)
 		for i := range msgs {
-			msg := packet.Message{Report: packet.Report{Event: 0xE, Seq: uint32(i + 1)}}
+			msg := packet.Message{Report: packet.Report{Event: 0xE, Location: uint32(src), Seq: uint32(i + 1)}}
 			for _, hop := range topo.Forwarders(src) {
 				msg = scheme.Mark(hop, keys.Key(hop), msg, rng)
 			}

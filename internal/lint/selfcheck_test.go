@@ -176,6 +176,9 @@ func TestNoallocHotPathsAnnotated(t *testing.T) {
 		"pnm/internal/sink.NestedVerifier.Verify",
 		"pnm/internal/sink.NestedVerifier.VerifyAt",
 		"pnm/internal/sink.TopologyResolver.Resolve",
+		"pnm/internal/sink.TopologyResolver.claimedRoute",
+		"pnm/internal/sink.TopologyResolver.bfs",
+		"pnm/internal/sink.TopologyResolver.probe",
 		"pnm/internal/sink.Order.addEdge",
 		"pnm/internal/sink.AMSVerifier.Verify",
 		"pnm/internal/sink.PPMVerifier.Verify",

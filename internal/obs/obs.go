@@ -17,7 +17,7 @@
 //
 // Because instrumented objects on different goroutines share counters, an
 // atomic add in an inner loop is a contended cache line. Hot loops count
-// in a local variable and publish with one Add per call — the topology
+// in a plain variable and publish with one Add per call — the topology
 // resolver adds its node visits and schedule hits once per Resolve — so a
 // counter holds its exact value whenever the instrumented call returns.
 package obs

@@ -192,7 +192,21 @@ func (r *ExhaustiveResolver) buildTable(report packet.Report) map[[packet.AnonID
 // gap between consecutive markers averages 1/p hops and the search expands
 // accordingly.
 //
-// The search streams every anonymous-ID match to the caller in BFS order
+// A third fact orders the search before it widens. The report M = E|L|T
+// names its claimed source L, and every honest marker sits on L's route to
+// the sink in the packet's epoch. So Resolve first probes the route from L
+// up to the search root (the sink, or the verified hint), shallowest node
+// first, and only then runs the depth-ordered BFS, which skips the one
+// route node per level it has already probed. L is untrusted: a mole may
+// claim any location, so L only reorders the probes and never removes a
+// candidate. The route pass is skipped when L is not a routed node of the
+// epoch, or when its route reaches the sink without meeting the hint; the
+// BFS alone then runs, exactly as without a route. A mark that matches no
+// key costs exactly the root's subtree either way; an accepted one costs
+// at most the BFS's probes plus one route length, so a lying L costs at
+// most one wasted route walk.
+//
+// The search streams every anonymous-ID match to the caller in this order
 // and keeps expanding until the caller accepts one. Stopping at the first
 // matching depth would diverge from the exhaustive base method: a
 // truncated-ID collision at a shallower depth would shadow the true,
@@ -201,6 +215,15 @@ func (r *ExhaustiveResolver) buildTable(report packet.Report) map[[packet.AnonID
 // marker is the shallowest match almost always, and the caller accepts it
 // immediately; the full-subtree sweep happens only for genuinely invalid
 // marks, which the base method pays O(n) for as well.
+//
+// Because the route pass changes only the order of candidates, it can
+// accept a different node than the BFS alone only when one mark is valid
+// under two distinct nodes: both the 4-byte anonymous ID and the 8-byte
+// MAC must match under each key, about 2^-96 per mark for honest traffic.
+// Even a mole that holds both keys must search about 2^64 messages (the
+// MAC's width) to forge one such mark, and either order then accepts a
+// node whose key the mole holds. Any other mark is accepted at the same
+// node, or rejected, in either order.
 //
 // pnmlint:single-goroutine — owned by one goroutine for its lifetime like
 // every sink-side object (see the package doc's Ownership section). The
@@ -223,6 +246,12 @@ type TopologyResolver struct {
 	// because the type is single-goroutine (see above).
 	frontier []packet.NodeID
 	next     []packet.NodeID
+	// route is the claimed source's route buffer, deepest node first,
+	// reused like the level buffers.
+	route []packet.NodeID
+	// visits and hits count one Resolve's node visits and schedule hits;
+	// Resolve publishes them with one add each before returning.
+	visits, hits uint64
 
 	// obs bindings; nil (no-op) unless Instrument was called.
 	probes     *obs.Counter
@@ -230,8 +259,10 @@ type TopologyResolver struct {
 }
 
 // childTree is one epoch's downlink adjacency in compressed sparse row
-// form: node v's children are kids[start[v]:start[v+1]], in ID order.
+// form: node v's children are kids[start[v]:start[v+1]], in ID order. net
+// is the epoch's immutable snapshot, kept for the route pass's uplinks.
 type childTree struct {
+	net   *topology.Network
 	start []int32
 	kids  []packet.NodeID
 }
@@ -283,7 +314,7 @@ func (r *TopologyResolver) buildTree(v topology.EpochVersion) *childTree {
 	}
 	net := r.epochs.At(v)
 	nodes := net.Nodes()
-	t := &childTree{start: make([]int32, len(nodes)+2)}
+	t := &childTree{net: net, start: make([]int32, len(nodes)+2)}
 	for _, id := range nodes {
 		if net.HasRoute(id) {
 			t.start[int(net.Parent(id))+1]++
@@ -317,7 +348,7 @@ func (r *TopologyResolver) Instrument(reg *obs.Registry) {
 }
 
 // Resolve implements Resolver. Node visits and schedule hits are counted
-// in locals and published with one add each before returning, early
+// on the resolver and published with one add each before returning, early
 // accept included: shards sharing a registry would otherwise contend on
 // the same two counters once per probe.
 // pnmlint:noalloc
@@ -332,45 +363,96 @@ func (r *TopologyResolver) Resolve(report packet.Report, anon [packet.AnonIDLen]
 		start = packet.SinkID
 	}
 	r.in.SetReport(report)
-	// BFS through the routing subtree of start, streaming matches in
-	// depth order. The expansion continues past levels whose matches the
-	// caller rejects — see the type comment on collision robustness. The
-	// two level buffers live on the resolver and are reused across calls
-	// (their capacities converge on the widest level, after which a
+	r.visits, r.hits = 0, 0
+	// Route pass: the claimed source's route below start, shallowest
+	// first (see the type comment on why an untrusted L is safe here).
+	route := r.claimedRoute(tree.net, report.Location, start)
+	done := false
+	for i := len(route) - 1; i >= 0 && !done; i-- {
+		done = r.probe(route[i], report, anon, yield)
+	}
+	if !done {
+		r.bfs(tree, start, route, report, anon, yield)
+	}
+	r.probes.Add(r.visits)
+	r.hasher.AddHits(r.hits)
+}
+
+// bfs probes the routing subtree of start level by level, streaming
+// matches in depth order. The expansion continues past levels whose
+// matches the caller rejects — see the type comment on collision
+// robustness. The route node at level k (start's children are level 1) is
+// route[len(route)-k]; the route pass has already probed it, so it is
+// only expanded here.
+// pnmlint:noalloc
+func (r *TopologyResolver) bfs(tree *childTree, start packet.NodeID, route []packet.NodeID, report packet.Report, anon [packet.AnonIDLen]byte, yield func(packet.NodeID) bool) {
+	// The two level buffers live on the resolver and are reused across
+	// calls (their capacities converge on the widest level, after which a
 	// resolution allocates nothing); they are swapped between iterations,
 	// so the initial frontier must be a copy: the tree's slices are
 	// shared state. Both headers are stored back before returning — even
 	// on early accept — so growth is never lost.
 	frontier := append(r.frontier[:0], tree.of(start)...)
 	next := r.next[:0]
-	var visits, hits uint64
 	done := false
-	for len(frontier) > 0 && !done {
+	for level := 1; len(frontier) > 0 && !done; level++ {
+		skip := packet.SinkID // never a child, so skips nothing
+		if level <= len(route) {
+			skip = route[len(route)-level]
+		}
 		next = next[:0]
 		for _, v := range frontier {
-			visits++
-			var a [packet.AnonIDLen]byte
-			if r.anonID != nil {
-				a = r.anonID(r.keys.Key(v), report, v)
-			} else {
-				s, hit := r.hasher.Lookup(v)
-				if hit {
-					hits++
-				}
-				a = s.AnonIDInput(&r.in, v)
-			}
-			if a == anon {
-				r.candidates.Inc()
-				if yield(v) {
-					done = true
-					break
-				}
+			if v != skip && r.probe(v, report, anon, yield) {
+				done = true
+				break
 			}
 			next = append(next, tree.of(v)...)
 		}
 		frontier, next = next, frontier
 	}
 	r.frontier, r.next = frontier, next
-	r.probes.Add(visits)
-	r.hasher.AddHits(hits)
+}
+
+// claimedRoute fills r.route with the route from the report's claimed
+// source loc up to, but excluding, start in net, deepest node first. It
+// returns an empty route when loc is not a routed node of net or when the
+// route reaches the sink without meeting start.
+// pnmlint:noalloc
+func (r *TopologyResolver) claimedRoute(net *topology.Network, loc uint32, start packet.NodeID) []packet.NodeID {
+	route := r.route[:0]
+	if loc == uint32(packet.SinkID) || loc > uint32(net.NumNodes()) || !net.HasRoute(packet.NodeID(loc)) {
+		return route
+	}
+	for v := packet.NodeID(loc); v != start; v = net.Parent(v) {
+		if v == packet.SinkID {
+			route = route[:0]
+			break
+		}
+		route = append(route, v)
+	}
+	r.route = route
+	return route
+}
+
+// probe is one node visit, shared by the route pass and the BFS: it
+// computes v's anonymous ID for the report being resolved and, on a
+// match, offers v to the caller. It reports whether the caller accepted.
+// pnmlint:noalloc
+func (r *TopologyResolver) probe(v packet.NodeID, report packet.Report, anon [packet.AnonIDLen]byte, yield func(packet.NodeID) bool) bool {
+	r.visits++
+	var a [packet.AnonIDLen]byte
+	if r.anonID != nil {
+		a = r.anonID(r.keys.Key(v), report, v)
+	} else {
+		s, hit := r.hasher.Lookup(v)
+		if hit {
+			r.hits++
+		}
+		a = s.AnonIDInput(&r.in, v)
+	}
+	if a != anon {
+		return false
+	}
+	r.candidates.Inc()
+	return yield(v)
 }
